@@ -1,8 +1,8 @@
 """Baseline distributions on the positive half-line.
 
 The tilted family in :mod:`tiltreg.family` is generic over a baseline
-distribution that supplies a CDF ``G``, a density ``g``, the density's
-derivative ``g'`` and a quantile function, all on the support ``(0, inf)``.
+distribution that supplies a CDF ``G``, a density ``g`` and a quantile
+function, all on the support ``(0, inf)``.
 Baselines with any other support are not admitted.
 """
 
@@ -38,10 +38,9 @@ def _scalar_like(result, reference):
 class BaselineDistribution(ABC):
     """Continuous distribution on (0, inf) usable as a tilt baseline.
 
-    Subclasses must provide ``cdf``, ``pdf`` and ``quantile``.  The density
-    derivative defaults to a central difference; baselines with a closed form
-    should override it.  ``log_pdf`` / ``log_sf`` have generic fallbacks and
-    exist so that tail evaluations can stay in log space.
+    Subclasses must provide ``cdf``, ``pdf`` and ``quantile``.  ``log_pdf``,
+    ``log_sf`` and ``quantile_from_log_sf`` have generic fallbacks and exist
+    so that tail evaluations can stay in log space.
 
     All operations are pure functions of immutable parameters and accept
     scalars or NumPy arrays.
@@ -59,13 +58,6 @@ class BaselineDistribution(ABC):
     def quantile(self, p):
         """Inverse CDF for p in (0, 1)."""
 
-    def pdf_derivative(self, x):
-        """g'(x), by central differences with relative step 1e-6 by default."""
-        x = _require_positive(x, "x")
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        lo = np.maximum(x - h, x * 0.5)  # stay inside the support
-        return _scalar_like((self.pdf(x + h) - self.pdf(lo)) / (x + h - lo), x)
-
     def log_pdf(self, x):
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
@@ -74,6 +66,10 @@ class BaselineDistribution(ABC):
         """log(1 - G(x)); override when a cancellation-free form exists."""
         with np.errstate(divide="ignore"):
             return np.log1p(-np.asarray(self.cdf(x)))
+
+    def quantile_from_log_sf(self, log_s):
+        """x with log(1 - G(x)) = log_s; the fallback caps G(x) at 1 - 1e-16."""
+        return self.quantile(np.minimum(-np.expm1(log_s), 1.0 - 1e-16))
 
 
 @dataclass(frozen=True)
@@ -98,10 +94,6 @@ class ExponentialBaseline(BaselineDistribution):
         x = _require_positive(x, "x")
         return _scalar_like(self.rate * np.exp(-self.rate * x), x)
 
-    def pdf_derivative(self, x):
-        x = _require_positive(x, "x")
-        return _scalar_like(-self.rate**2 * np.exp(-self.rate * x), x)
-
     def quantile(self, p):
         p = _require_probability(p)
         return _scalar_like(-np.log1p(-p) / self.rate, p)
@@ -113,3 +105,6 @@ class ExponentialBaseline(BaselineDistribution):
     def log_sf(self, x):
         x = _require_positive(x, "x")
         return _scalar_like(-self.rate * x, x)
+
+    def quantile_from_log_sf(self, log_s):
+        return _scalar_like(-np.asarray(log_s, dtype=float) / self.rate, log_s)

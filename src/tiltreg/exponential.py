@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import ExponentialBaseline, _require_positive, _require_probability, _scalar_like
+from .baseline import ExponentialBaseline, _require_positive, _scalar_like
 from .errors import NumericalError
-from .family import TiltedDistribution, _aux_quantile_raw
+from .family import TiltedDistribution
 
 _LOG2 = math.log(2.0)
 
@@ -58,7 +58,7 @@ class TiltedExponential:
             raise ValueError("rate must be a positive finite number")
 
     def as_generic(self) -> TiltedDistribution:
-        """The same law routed through the generic family (for cross-checks)."""
+        """The same law routed through the generic family."""
         return TiltedDistribution(ExponentialBaseline(self.rate), self.beta)
 
     def cdf(self, x):
@@ -90,9 +90,7 @@ class TiltedExponential:
         return _scalar_like(np.asarray(self.pdf(t)) / s, t)
 
     def quantile(self, p):
-        p = _require_probability(p)
-        q = _aux_quantile_raw(self.beta, np.asarray(p, dtype=float))
-        return _scalar_like(-np.log1p(-q) / self.rate, p)
+        return self.as_generic().quantile(p)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return self.as_generic().sample(n, seed)

@@ -13,7 +13,7 @@ unit-scale Weibull with shape ``beta`` evaluated at ``Gbar(x)``; it thins the
 lower tail of the baseline and fades to one in the upper tail.  Quantiles and
 sampling route through a unit-interval auxiliary variable with CDF
 ``y * exp(-(1-y)**beta)``: if ``Y`` follows that law, ``G^{-1}(Y)`` follows
-``F``.
+``F``; the solve works in ``s = -log(1-Y)`` so no upper-tail ``Y`` rounds to 1.
 
 Closed-form moments do not exist for this family; the moment operations below
 evaluate the survival-function identity
@@ -40,9 +40,10 @@ from .baseline import (
 )
 from .errors import NumericalError
 
-# Hybrid secant/bisection controls for the auxiliary quantile solve.
-_ROOT_ATOL = 1e-14
+# Newton controls for the auxiliary quantile solve.
 _ROOT_MAX_ITER = 200
+_SOLVE_BLOCK = 16384
+_LOG2 = float(np.log(2.0))
 
 # Quadrature targets for the moment operations.
 _QUAD_ABS_TOL = 1e-10
@@ -61,49 +62,60 @@ def _aux_cdf_raw(y, beta):
     return y * np.exp(-np.exp(beta * np.log1p(-y)))
 
 
-def _aux_quantile_raw(beta: float, p: np.ndarray) -> np.ndarray:
-    """Solve q * exp(-(1-q)^beta) = p elementwise on a guaranteed bracket.
+def _log1mexp(x):
+    # log(1 - e^-x) for x > 0; each branch is accurate on its own side of log 2
+    with np.errstate(divide="ignore"):
+        return np.where(x > _LOG2, np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
 
-    The map is continuous and strictly increasing, and its value at q = p is
-    below p, so [max(p, 1e-300), 1 - 1e-16] brackets the root.  Each iteration
-    tries a secant step and falls back to the midpoint whenever the secant
-    leaves the bracket (and on alternate iterations, which bounds the bracket
-    width by halving).  For p within ~1e-8 of 1 and beta < 1 the root can sit
-    closer to 1 than the upper endpoint allows; the endpoint is returned there.
+
+def _aux_log_cdf_s(s, beta):
+    # log of the auxiliary CDF at y = 1 - e^-s, and the reciprocal of its
+    # derivative 1/expm1(s) + beta*e^(-beta s), finite for every s > 0
+    e, y, w = np.exp(-s), -np.expm1(-s), np.exp(-beta * s)
+    return _log1mexp(s) - w, y / (e + beta * w * y)
+
+
+def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
+    """s = -log(1-q) for the auxiliary quantile q, elementwise.
+
+    Newton on the increasing, concave g(s) = log(1-e^-s) - e^(-beta s) - log p
+    from -log(t)/beta, t = -log p, inside the bracket s_lo = -log1p(-p),
+    s_hi = max(s_lo, -log(1-e^(-t/2)), -log(t/2)/beta), narrowed by the sign
+    of g; an iterate not strictly inside it is replaced by the midpoint.  An
+    element stops once its step or bracket is within 4 ulp of s; only
+    unconverged elements iterate on.  Blocks keep temporaries in cache.
     """
     p = np.asarray(p, dtype=float)
-    lo = np.maximum(p, 1e-300)
-    hi = np.full_like(p, 1.0 - 1e-16)
-    flo = _aux_cdf_raw(lo, beta) - p
-    fhi = _aux_cdf_raw(hi, beta) - p
-
-    done_hi = fhi <= 0  # root beyond the representable bracket
-    a, b = lo.copy(), hi.copy()
-    fa, fb = flo, fhi
-    for it in range(_ROOT_MAX_ITER):
-        width = b - a
-        if np.all((width < _ROOT_ATOL) | done_hi):
-            break
-        denom = fb - fa
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = b - fb * width / denom
-        mid = 0.5 * (a + b)
-        inside = (secant > a) & (secant < b) & np.isfinite(secant)
-        x = np.where(inside & (it % 2 == 0), secant, mid)
-        fx = _aux_cdf_raw(x, beta) - p
-        neg = fx < 0
-        a = np.where(neg, x, a)
-        fa = np.where(neg, fx, fa)
-        b = np.where(neg, b, x)
-        fb = np.where(neg, fx, fb)
-    else:
-        resid = np.max(np.abs(_aux_cdf_raw(0.5 * (a + b), beta) - p))
-        raise NumericalError(
-            f"auxiliary quantile solve did not converge within "
-            f"{_ROOT_MAX_ITER} iterations (max residual {resid:.3e})"
-        )
-    q = 0.5 * (a + b)
-    return np.where(done_hi, hi, q)
+    if p.size > _SOLVE_BLOCK:
+        s = [_aux_log_sf_solve(beta, p.flat[i:i + _SOLVE_BLOCK])
+             for i in range(0, p.size, _SOLVE_BLOCK)]
+        return np.concatenate(s).reshape(p.shape)
+    log_p = np.log(p).ravel()
+    a = -np.log1p(-p).ravel()
+    b = np.maximum(a, np.maximum(-_log1mexp(-0.5 * log_p),
+                                 -np.log(-0.5 * log_p) / beta))
+    s = np.clip(-np.log(-log_p) / beta, a, b)
+    out = np.empty_like(a)
+    todo = np.arange(a.size)
+    for _ in range(_ROOT_MAX_ITER):
+        if todo.size == 0:
+            return out.reshape(p.shape)
+        g, inv_slope = _aux_log_cdf_s(s, beta)
+        g -= log_p
+        step = g * inv_slope
+        below = g < 0
+        np.copyto(a, s, where=below)
+        np.copyto(b, s, where=~below)
+        tol = 4.0 * np.finfo(float).eps * s
+        done = (np.abs(step) <= tol) | (b - a <= tol)
+        s -= step
+        if done.any():
+            out[todo[done]] = np.clip(s[done], a[done], b[done])
+            keep = np.flatnonzero(~done)
+            todo, s, a, b, log_p = (v.take(keep) for v in (todo, s, a, b, log_p))
+        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+    raise NumericalError(f"auxiliary quantile solve did not converge within "
+                         f"{_ROOT_MAX_ITER} iterations ({todo.size} elements left)")
 
 
 @dataclass(frozen=True)
@@ -121,23 +133,18 @@ class TiltVariable:
         _check_beta(self.beta)
 
     def density(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(~((y > 0) & (y < 1))):
-            raise ValueError("y must lie strictly inside (0, 1)")
-        log1my = np.log1p(-y)
-        tail = np.exp(self.beta * log1my)  # (1-y)^beta
-        slope = np.exp((self.beta - 1.0) * log1my)  # (1-y)^(beta-1)
-        return _scalar_like(np.exp(-tail) * (1.0 + y * self.beta * slope), y)
+        # the CDF times d(log CDF)/ds times ds/dy = e^s
+        s = -np.log1p(-_require_probability(y, "y"))
+        log_cdf, inv_slope = _aux_log_cdf_s(s, self.beta)
+        return _scalar_like(np.exp(log_cdf + s) / inv_slope, y)
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(~((y > 0) & (y < 1))):
-            raise ValueError("y must lie strictly inside (0, 1)")
+        y = _require_probability(y, "y")
         return _scalar_like(_aux_cdf_raw(y, self.beta), y)
 
     def quantile(self, p):
         p = _require_probability(p)
-        return _scalar_like(_aux_quantile_raw(self.beta, p), p)
+        return _scalar_like(-np.expm1(-_aux_log_sf_solve(self.beta, p)), p)
 
 
 @dataclass(frozen=True)
@@ -208,10 +215,10 @@ class TiltedDistribution:
     # -- quantiles and sampling ----------------------------------------
 
     def quantile(self, p):
-        """Inverse CDF: baseline quantile of the auxiliary quantile."""
+        """Inverse CDF: the baseline point whose log-survival is -s(p)."""
         p = _require_probability(p)
-        q = _aux_quantile_raw(self.beta, np.asarray(p, dtype=float))
-        return _scalar_like(np.asarray(self.baseline.quantile(q)), p)
+        s = _aux_log_sf_solve(self.beta, p)
+        return _scalar_like(np.asarray(self.baseline.quantile_from_log_sf(-s)), p)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inverse-transform draws, deterministic for a given seed."""
@@ -220,8 +227,8 @@ class TiltedDistribution:
         rng = np.random.default_rng(seed)
         u = rng.uniform(size=n)
         u[u == 0.0] = 1e-300  # keep inside the quantile domain
-        q = _aux_quantile_raw(self.beta, u)
-        return np.asarray(self.baseline.quantile(q), dtype=float)
+        s = _aux_log_sf_solve(self.beta, u)
+        return np.asarray(self.baseline.quantile_from_log_sf(-s), dtype=float)
 
     # -- mode ------------------------------------------------------------
 

@@ -79,16 +79,8 @@ def test_pdf_matches_cdf_derivative():
         assert b.pdf(x) == pytest.approx(fd, abs=1e-6)
 
 
-def test_pdf_derivative_matches_pdf_derivative():
-    b = ExponentialBaseline(0.8)
-    for x in (0.2, 1.0, 3.0):
-        h = 1e-5 * max(1.0, x)
-        fd = (b.pdf(x + h) - b.pdf(x - h)) / (2 * h)
-        assert b.pdf_derivative(x) == pytest.approx(fd, abs=1e-5)
-
-
-class _WeibullNoDerivative(BaselineDistribution):
-    """Weibull baseline without a closed-form density derivative."""
+class _Weibull(BaselineDistribution):
+    """Weibull baseline that keeps every generic fallback."""
 
     def __init__(self, shape: float, scale: float):
         self.shape = shape
@@ -106,14 +98,18 @@ class _WeibullNoDerivative(BaselineDistribution):
         return self.scale * (-np.log1p(-np.asarray(p))) ** (1.0 / self.shape)
 
 
-def test_fallback_pdf_derivative():
-    w = _WeibullNoDerivative(2.0, 1.5)
-    # analytic: d/dx [ (2/1.5)(x/1.5) e^{-(x/1.5)^2} ]
-    for x in (0.3, 1.0, 2.0):
-        k, s = 2.0, 1.5
-        z = x / s
-        analytic = k / s**2 * np.exp(-(z**k)) * ((k - 1) * z ** (k - 2) - k * z ** (2 * k - 2))
-        assert w.pdf_derivative(x) == pytest.approx(analytic, rel=1e-5, abs=1e-8)
+def test_fallback_quantile_from_log_sf():
+    w = _Weibull(2.0, 1.5)
+    log_s = np.array([-0.1, -1.0, -5.0])
+    assert np.allclose(w.quantile_from_log_sf(log_s), 1.5 * np.sqrt(-log_s), rtol=1e-12)
+    # where 1 - exp(log_s) rounds to one the fallback saturates at 1 - 1e-16
+    assert w.quantile_from_log_sf(-50.0) == w.quantile(1.0 - 1e-16)
+
+
+def test_exponential_quantile_from_log_sf_is_exact_in_the_tail():
+    b = ExponentialBaseline(0.5)
+    assert b.quantile_from_log_sf(-100.0) == 200.0
+    assert b.quantile_from_log_sf(-0.3) == pytest.approx(b.quantile(-math.expm1(-0.3)), rel=1e-15)
 
 
 def test_log_forms_agree_with_plain_forms():

@@ -12,6 +12,7 @@ from tiltreg import (
     TiltVariable,
     TiltedDistribution,
 )
+from tiltreg import family
 
 betas = st.floats(min_value=0.2, max_value=8.0)
 rates = st.floats(min_value=0.05, max_value=20.0)
@@ -162,6 +163,55 @@ class TestTiltVariable:
 
 
 # ---------------------------------------------------------------------------
+# auxiliary quantile solve in s = -log(1 - q)
+# ---------------------------------------------------------------------------
+
+solve_betas = st.floats(min_value=0.1, max_value=20.0)
+solve_probs = st.floats(min_value=1e-300, max_value=1.0 - 1e-15)
+
+
+def log_aux_cdf(s, beta):
+    """log(1 - e^-s) - e^(-beta s), written independently of the solver."""
+    log_y = math.log(-math.expm1(-s)) if s < 0.5 else math.log1p(-math.exp(-s))
+    return log_y - math.exp(-beta * s)
+
+
+class TestAuxiliarySolve:
+    def test_array_solve_equals_scalar_solves_bitwise(self, monkeypatch):
+        # several blocks and a shrinking active set must not couple elements
+        monkeypatch.setattr(family, "_SOLVE_BLOCK", 4096)
+        rng = np.random.default_rng(11)
+        p = np.concatenate([rng.uniform(size=9000), 10.0 ** rng.uniform(-300, -1, 500),
+                            1.0 - 10.0 ** rng.uniform(-15, -1, 500)])
+        s = family._aux_log_sf_solve(0.1, p)
+        scalar = [family._aux_log_sf_solve(0.1, float(pi)) for pi in p]
+        assert np.array_equal(s, np.array(scalar))
+
+    @settings(max_examples=200)
+    @given(solve_betas, solve_probs)
+    def test_residual_within_a_few_ulp(self, beta, p):
+        s = float(family._aux_log_sf_solve(beta, p))
+        scale = max(1.0, abs(math.log(p)))
+        assert abs(log_aux_cdf(s, beta) - math.log(p)) <= 4 * np.finfo(float).eps * scale
+
+    @settings(max_examples=200)
+    @given(solve_betas, solve_probs, solve_probs)
+    def test_monotone_in_p(self, beta, p1, p2):
+        lo, hi = sorted((p1, p2))
+        # g is only resolved to a few ulp of max(1, |log p|), so the order of
+        # two roots is defined for p further apart than that
+        if hi - lo <= 64 * np.finfo(float).eps * max(1.0, -math.log(lo)) * lo:
+            return
+        s = family._aux_log_sf_solve(beta, np.array([lo, hi]))
+        assert s[0] <= s[1]
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(family, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            tilted(1.0, 2.0).quantile(np.linspace(0.01, 0.99, 50))
+
+
+# ---------------------------------------------------------------------------
 # quantiles and sampling
 # ---------------------------------------------------------------------------
 
@@ -187,6 +237,11 @@ class TestQuantile:
         assert tilted(1.0, 1.0).quantile(0.43755424751176386) == pytest.approx(
             1.0, abs=1e-6
         )
+
+    def test_small_beta_upper_tail_is_not_clamped(self):
+        # at beta = 0.1 the 0.99 quantile sits at q = 1 - 1e-20, which rounds to 1
+        d = tilted(1.0, 0.1)
+        assert abs(d.cdf(d.quantile(0.99)) - 0.99) < 1e-12
 
     @settings(max_examples=50)
     @given(betas, rates, probs)
@@ -223,6 +278,10 @@ class TestSampling:
         med = d.quantile(0.5)
         se = 1.0 / (2.0 * d.pdf(med) * math.sqrt(n))
         assert abs(np.median(s) - med) < 3.0 * se
+
+    def test_small_beta_draws_do_not_pile_up_on_the_maximum(self):
+        x = tilted(1.0, 0.1).sample(10**5, seed=2718)
+        assert np.sum(x == x.max()) <= 1
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
