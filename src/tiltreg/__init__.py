@@ -21,7 +21,6 @@ from .diagnostics import (
 from .errors import InferenceError, NumericalError, SpecificationError
 from .exponential import (
     MedianTiltedExponential,
-    TiltedExponential,
     beta_from_quantile,
     median_tilted_cdf,
     median_tilted_logpdf,
@@ -54,7 +53,6 @@ __all__ = [
     "SpecificationError",
     "TiltVariable",
     "TiltedDistribution",
-    "TiltedExponential",
     "beta_from_quantile",
     "build_design",
     "build_report",

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .baseline import ExponentialBaseline
 from .data import (
     ModelConfig,
     build_design,
@@ -27,8 +28,9 @@ from .data import (
 )
 from .diagnostics import build_report, quantile_residuals, render_svg
 from .errors import InferenceError, NumericalError, SpecificationError
-from .exponential import MedianTiltedExponential, TiltedExponential
-from .regression import FittedModel, ModelSpec, fit
+from .exponential import MedianTiltedExponential
+from .family import TiltedDistribution
+from .regression import FittedModel, ModelSpec, fit, predict_median, predict_sigma
 
 _MODEL_FORMAT = "tiltreg-model"
 
@@ -180,7 +182,6 @@ def cmd_fit(args) -> int:
         sigma_terms=tuple(args.sigma),
         max_iter=args.max_iter,
         grad_tol=args.tol,
-        seed=args.seed,
     )
     table = ingest_csv(args.data, config)
     if table.n_dropped:
@@ -230,8 +231,8 @@ def cmd_predict(args) -> int:
     model, schema = _load_model(args.model)
     table = table_from_schema(args.data, schema, require_response=False)
     W, Z = prediction_designs(table, schema)
-    medians = np.exp(W @ model.mu_coefs)
-    sigmas = np.exp(Z @ model.sigma_coefs)
+    medians = predict_median(model, W)
+    sigmas = predict_sigma(model, Z)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("median,sigma\n")
         for m, s in zip(medians.tolist(), sigmas.tolist()):
@@ -259,7 +260,7 @@ def cmd_residuals(args) -> int:
 # dist / sample
 # ---------------------------------------------------------------------------
 
-def _distribution_from(args) -> TiltedExponential:
+def _distribution_from(args) -> TiltedDistribution:
     has_classical = args.beta is not None or args.lam is not None
     has_median = args.mu is not None or args.sigma is not None
     if has_classical and has_median:
@@ -269,11 +270,11 @@ def _distribution_from(args) -> TiltedExponential:
     if has_classical:
         if args.beta is None or args.lam is None:
             raise SpecificationError("--beta and --lambda are both required")
-        return TiltedExponential(beta=args.beta, rate=args.lam)
+        return TiltedDistribution(ExponentialBaseline(args.lam), args.beta)
     if has_median:
         if args.mu is None or args.sigma is None:
             raise SpecificationError("--mu and --sigma are both required")
-        return MedianTiltedExponential(mu=args.mu, sigma=args.sigma).to_classical()
+        return MedianTiltedExponential(mu=args.mu, sigma=args.sigma)
     raise SpecificationError(
         "parameters required: --beta/--lambda or --mu/--sigma"
     )
@@ -299,8 +300,7 @@ def cmd_dist(args) -> int:
     else:  # moment
         if not args.p:
             raise SpecificationError("--p (moment order) is required for moment")
-        generic = dist.as_generic()
-        values = [generic.moment(p) for p in args.p]
+        values = [dist.moment(p) for p in args.p]
     for v in values:
         print(f"{v:.10g}")
     return 0

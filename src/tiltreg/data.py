@@ -27,17 +27,14 @@ class ModelConfig:
 
     Terms are column names; the placeholder term "1" is allowed and means
     "intercept only".  An intercept is always included in both predictors.
-    Only the logarithmic link is supported for either parameter.
     """
 
     response: str
     mu_terms: tuple[str, ...] = ()
     sigma_terms: tuple[str, ...] = ()
-    links: tuple[str, str] = ("log", "log")
     max_iter: int = 500
     grad_tol: float = 1e-6
     ll_tol: float = 1e-10
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -46,8 +43,6 @@ class ModelConfig:
         object.__setattr__(
             self, "sigma_terms", tuple(t for t in self.sigma_terms if t != "1")
         )
-        if self.links != ("log", "log"):
-            raise SpecificationError("only the log link is supported")
 
     @property
     def referenced_columns(self) -> tuple[str, ...]:
@@ -192,45 +187,21 @@ def _design_matrix(
     return np.column_stack(cols), tuple(names)
 
 
-def _find_dependent_columns(m: np.ndarray, names: tuple[str, ...]) -> list[str]:
-    # Greedy scan: a column already representable by its predecessors is the
-    # offender to report.
-    bad = []
-    kept: list[int] = []
-    for j in range(m.shape[1]):
-        trial = m[:, kept + [j]]
-        s = np.linalg.svd(trial, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
-            bad.append(names[j])
-        else:
-            kept.append(j)
-    return bad
-
-
 def build_design(table: DatasetTable, config: ModelConfig) -> ModelSpec:
-    """Assemble the ModelSpec: response, intercepted designs, rank check."""
+    """Assemble the ModelSpec: response and intercepted, named designs.
+
+    ModelSpec checks positivity and rank, naming any dependent column.
+    """
     if config.response not in table.columns:
         raise SpecificationError(f"response column {config.response} not in table")
     if not table.is_numeric(config.response):
         raise SpecificationError(
             f"response column {config.response} must be numeric"
         )
-    y = table.numeric[config.response]
-    if np.any(~(y > 0)):
-        raise SpecificationError("all responses must be strictly positive")
-
     W, mu_names = _design_matrix(table, config.mu_terms, table.levels)
     Z, sigma_names = _design_matrix(table, config.sigma_terms, table.levels)
-    for m, names, label in ((W, mu_names, "mu"), (Z, sigma_names, "sigma")):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
-            offenders = _find_dependent_columns(m, names)
-            raise SpecificationError(
-                f"{label} design is rank deficient; dependent column(s): "
-                f"{', '.join(offenders)}"
-            )
     return ModelSpec(
-        response=y,
+        response=table.numeric[config.response],
         mu_design=W,
         sigma_design=Z,
         mu_names=mu_names,

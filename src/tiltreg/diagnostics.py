@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kurtosis, norm, skew
+from scipy.special import ndtri
 
 from .exponential import median_tilted_cdf
 from .regression import FittedModel, ModelSpec, predict_median, predict_sigma
@@ -39,7 +39,7 @@ def quantile_residuals(fitted: FittedModel, spec: ModelSpec) -> np.ndarray:
     sigma = predict_sigma(fitted, spec.sigma_design)
     u = median_tilted_cdf(spec.response, mu, sigma)
     u = np.clip(u, _CDF_FLOOR, 1.0 - _CDF_FLOOR)
-    return norm.ppf(u)
+    return ndtri(u)
 
 
 def _plotting_positions(n: int) -> np.ndarray:
@@ -53,7 +53,7 @@ def qq_plot_data(residuals) -> np.ndarray:
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 2:
         raise ValueError("QQ plot needs at least 2 residuals")
-    theo = norm.ppf(_plotting_positions(r.size))
+    theo = ndtri(_plotting_positions(r.size))
     return np.column_stack([theo, np.sort(r)])
 
 
@@ -71,7 +71,8 @@ def worm_plot_data(residuals) -> tuple[np.ndarray, np.ndarray]:
     theo = qq[:, 0]
     dev = qq[:, 1] - theo
     p = _plotting_positions(r.size)
-    half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / norm.pdf(theo)
+    phi = np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi)
+    half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / phi
     bands = np.column_stack([-half, half])
     return np.column_stack([theo, dev]), bands
 
@@ -91,11 +92,14 @@ def build_report(residuals) -> DiagnosticsReport:
     """Assemble the full report; requires enough residuals for a worm plot."""
     r = np.asarray(residuals, dtype=float).ravel()
     worm, bands = worm_plot_data(r)
+    # biased central-moment ratios (Fisher's skewness and excess kurtosis)
+    d = r - np.mean(r)
+    m2 = np.mean(d**2)
     summary = {
         "mean": float(np.mean(r)),
         "variance": float(np.var(r, ddof=1)),
-        "skewness": float(skew(r)),
-        "excess_kurtosis": float(kurtosis(r)),
+        "skewness": float(np.mean(d**3) / m2**1.5),
+        "excess_kurtosis": float(np.mean(d**4) / m2**2 - 3.0),
     }
     return DiagnosticsReport(
         residuals=r,

@@ -1,10 +1,13 @@
-"""Closed forms for the tilted exponential and its median parameterization.
+"""The tilted exponential in its median parameterization.
 
 With an exponential baseline of rate ``lam`` the tilted CDF collapses to
 
-    F(x) = (1 - exp(-lam*x)) * exp(-exp(-beta*lam*x)),    x > 0,
+    F(x) = (1 - exp(-lam*x)) * exp(-exp(-beta*lam*x)),    x > 0.
 
-which this module evaluates directly instead of through the generic family.
+That law is ``TiltedDistribution(ExponentialBaseline(lam), beta)``; this
+module defines no distribution class of its own.  It holds the median
+reparameterization, the shape that pins a given quantile, and the vectorized
+kernels the regression evaluates once per observation.
 
 The median parameterization replaces (beta, lam) by (mu, sigma), where mu is
 the distribution's median and sigma > 0 reshapes the tails:
@@ -23,12 +26,10 @@ as location/shape coordinates in a median regression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import ExponentialBaseline, _require_positive, _scalar_like
-from .errors import NumericalError
+from .baseline import ExponentialBaseline
 from .family import TiltedDistribution
 
 _LOG2 = math.log(2.0)
@@ -42,58 +43,6 @@ def _log_expm1(t):
     """log(exp(t) - 1) for t > 0 without overflow."""
     t = np.asarray(t, dtype=float)
     return np.where(t > 30.0, t, np.log(np.expm1(np.minimum(t, 30.0))))
-
-
-@dataclass(frozen=True)
-class TiltedExponential:
-    """Tilted exponential distribution with shape ``beta`` and rate ``rate``."""
-
-    beta: float
-    rate: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be a positive finite number")
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("rate must be a positive finite number")
-
-    def as_generic(self) -> TiltedDistribution:
-        """The same law routed through the generic family."""
-        return TiltedDistribution(ExponentialBaseline(self.rate), self.beta)
-
-    def cdf(self, x):
-        x = _require_positive(x, "x")
-        lx = self.rate * x
-        return _scalar_like(-np.expm1(-lx) * np.exp(-np.exp(-self.beta * lx)), x)
-
-    def pdf(self, x):
-        # lam*e^{-lam x}*[1 + beta*(1-e^{-lam x})*e^{-(beta-1) lam x}] * tilt,
-        # regrouped as two decaying terms so beta < 1 cannot overflow.
-        x = _require_positive(x, "x")
-        lx = self.rate * x
-        t1 = self.rate * np.exp(-lx)
-        t2 = self.rate * self.beta * (-np.expm1(-lx)) * np.exp(-self.beta * lx)
-        return _scalar_like((t1 + t2) * np.exp(-np.exp(-self.beta * lx)), x)
-
-    def sf(self, t):
-        t = _require_positive(t, "t")
-        return _scalar_like(1.0 - np.asarray(self.cdf(t)), t)
-
-    def hazard(self, t):
-        t = _require_positive(t, "t")
-        s = np.asarray(self.sf(t), dtype=float)
-        if np.any(s <= 0.0):
-            raise NumericalError(
-                "survival function underflowed to zero; the hazard would "
-                "overflow at the requested point"
-            )
-        return _scalar_like(np.asarray(self.pdf(t)) / s, t)
-
-    def quantile(self, p):
-        return self.as_generic().quantile(p)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return self.as_generic().sample(n, seed)
 
 
 def beta_from_quantile(rate: float, q: float, tau: float) -> float:
@@ -224,47 +173,20 @@ def median_tilted_score(x, mu, sigma):
     return d_mu, d_sigma
 
 
-@dataclass(frozen=True)
-class MedianTiltedExponential:
-    """Tilted exponential located by its median ``mu`` with shape ``sigma``."""
+def MedianTiltedExponential(mu: float, sigma: float) -> TiltedDistribution:
+    """Tilted exponential located by its median ``mu`` with shape ``sigma``.
 
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ValueError("mu must be a positive finite number")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be a positive finite number")
-        if self.sigma < _SIGMA_MIN:
-            raise ValueError(
-                f"sigma below {_SIGMA_MIN:g} makes the implied shape overflow"
-            )
-
-    def to_classical(self) -> TiltedExponential:
-        """The same law in (beta, rate) coordinates."""
-        c, lam, logL = _reparam_constants(self.mu, self.sigma)
-        return TiltedExponential(beta=-logL / c, rate=lam)
-
-    def cdf(self, x):
-        x = _require_positive(x, "x")
-        _reparam_constants(self.mu, self.sigma)  # sign sanity check
-        return _scalar_like(median_tilted_cdf(x, self.mu, self.sigma), x)
-
-    def pdf(self, x):
-        x = _require_positive(x, "x")
-        return _scalar_like(np.exp(median_tilted_logpdf(x, self.mu, self.sigma)), x)
-
-    def log_pdf(self, x):
-        x = _require_positive(x, "x")
-        return _scalar_like(median_tilted_logpdf(x, self.mu, self.sigma), x)
-
-    def sf(self, t):
-        t = _require_positive(t, "t")
-        return _scalar_like(1.0 - np.asarray(self.cdf(t)), t)
-
-    def quantile(self, p):
-        return self.to_classical().quantile(p)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        return self.to_classical().sample(n, seed)
+    Returns the generic family over an exponential baseline, with rate
+    ``c/mu`` and shape ``-log(L)/c``; read them back as ``.baseline.rate``
+    and ``.beta``.
+    """
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError("mu must be a positive finite number")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be a positive finite number")
+    if sigma < _SIGMA_MIN:
+        raise ValueError(
+            f"sigma below {_SIGMA_MIN:g} makes the implied shape overflow"
+        )
+    c, lam, logL = _reparam_constants(mu, sigma)
+    return TiltedDistribution(ExponentialBaseline(lam), -logL / c)

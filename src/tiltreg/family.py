@@ -175,42 +175,54 @@ class TiltedDistribution:
         return _scalar_like(G * np.exp(-np.exp(self.beta * log_sf)), x)
 
     def sf(self, t):
-        """Survival 1 - F(t)."""
-        t = _require_positive(t, "t")
-        return _scalar_like(1.0 - np.asarray(self.cdf(t)), t)
+        """Survival 1 - F(t) = -expm1(log G - Gbar^beta), log G = log1p(-Gbar).
 
-    def pdf(self, x):
-        """Density of F; the tail term is assembled in log space.
-
-        ``Gbar**(beta-1)`` explodes as x grows when beta < 1 while the density
-        itself decays, so the product ``g*G*Gbar^(beta-1)`` is fused via
-        ``log_pdf`` and ``log_sf`` before exponentiating.
+        No cancellation where F rounds to 1: S is accurate down to underflow.
         """
-        x = _require_positive(x, "x")
-        G = np.asarray(self.baseline.cdf(x), dtype=float)
-        log_sf = np.asarray(self.baseline.log_sf(x), dtype=float)
-        g = np.asarray(self.baseline.pdf(x), dtype=float)
-        log_g = np.asarray(self.baseline.log_pdf(x), dtype=float)
+        t = _require_positive(t, "t")
+        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
         with np.errstate(divide="ignore"):
-            bump = np.exp(np.log(self.beta) + np.log(G) + log_g
-                          + (self.beta - 1.0) * log_sf)
-        tilt = np.exp(-np.exp(self.beta * log_sf))
-        return _scalar_like((g + bump) * tilt, x)
+            log_G = np.log1p(-np.exp(log_gbar))
+        return _scalar_like(-np.expm1(log_G - np.exp(self.beta * log_gbar)), t)
+
+    def log_sf(self, t):
+        """log S(t) = log(-expm1(log1p(-Gbar) - Gbar^beta)), Gbar = 1 - G(t).
+
+        Finite wherever S is representable; -inf only where S underflows.
+        """
+        with np.errstate(divide="ignore"):
+            return _scalar_like(np.log(self.sf(t)), t)
 
     def log_pdf(self, x):
+        """log f = log g + log(1 + beta*G*Gbar^(beta-1)) - Gbar^beta.
+
+        The bracket is a logaddexp of log-space terms, so ``Gbar**(beta-1)``,
+        which explodes for beta < 1 while f decays, is never formed; log G
+        comes from the baseline CDF, which stays accurate at small x.
+        """
+        x = _require_positive(x, "x")
+        log_g = np.asarray(self.baseline.log_pdf(x), dtype=float)
+        log_gbar = np.asarray(self.baseline.log_sf(x), dtype=float)
         with np.errstate(divide="ignore"):
-            return np.log(self.pdf(x))
+            log_G = np.log(np.asarray(self.baseline.cdf(x), dtype=float))
+        bump = np.log(self.beta) + log_G + (self.beta - 1.0) * log_gbar
+        return _scalar_like(
+            log_g + np.logaddexp(0.0, bump) - np.exp(self.beta * log_gbar), x
+        )
+
+    def pdf(self, x):
+        """Density f = exp(log_pdf)."""
+        return _scalar_like(np.exp(self.log_pdf(x)), x)
 
     def hazard(self, t):
-        """f(t) / S(t).  Raises when the survival underflows to zero."""
-        t = _require_positive(t, "t")
-        s = np.asarray(self.sf(t), dtype=float)
-        if np.any(s <= 0.0):
+        """f(t) / S(t) = exp(log f - log S).  Raises where S underflows."""
+        log_s = np.asarray(self.log_sf(t), dtype=float)
+        if np.any(np.isneginf(log_s)):
             raise NumericalError(
                 "survival function underflowed to zero; the hazard would "
                 "overflow at the requested point"
             )
-        return _scalar_like(np.asarray(self.pdf(t)) / s, t)
+        return _scalar_like(np.exp(np.asarray(self.log_pdf(t)) - log_s), t)
 
     # -- quantiles and sampling ----------------------------------------
 
@@ -265,7 +277,7 @@ class TiltedDistribution:
 
     def _sf_quad(self, p: float, lower: float, upper: float) -> float:
         result = quad(
-            lambda u: u ** (p - 1.0) * (1.0 - float(self.cdf(u))) if u > 0 else 0.0,
+            lambda u: u ** (p - 1.0) * float(self.sf(u)) if u > 0 else 0.0,
             lower,
             upper,
             epsabs=_QUAD_ABS_TOL,
@@ -284,7 +296,7 @@ class TiltedDistribution:
     def _tail_cutoff(self, lower: float) -> float:
         t = max(1.0, 2.0 * lower)
         for _ in range(64):
-            if 1.0 - float(self.cdf(t)) < _TAIL_SF_CUTOFF:
+            if float(self.sf(t)) < _TAIL_SF_CUTOFF:
                 return t
             t *= 2.0
         raise NumericalError("survival tail did not fall below the cutoff")

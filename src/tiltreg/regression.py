@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InferenceError, SpecificationError
 from .exponential import median_tilted_logpdf, median_tilted_score
@@ -40,12 +40,22 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _check_full_rank(m: np.ndarray, name: str):
+def _check_full_rank(m: np.ndarray, label: str, names: tuple[str, ...]):
     if m.shape[1] == 0:
-        raise SpecificationError(f"{name} has no columns")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise SpecificationError(f"{name} is rank deficient")
+        raise SpecificationError(f"{label} has no columns")
+    # Greedy scan: a column already representable by its predecessors is
+    # dependent; the scan ends on the whole design when no column is.
+    bad, kept = [], []
+    for j, name in enumerate(names):
+        s = np.linalg.svd(m[:, kept + [j]], compute_uv=False)
+        if s[-1] <= _RANK_RTOL * s[0]:
+            bad.append(name)
+        else:
+            kept.append(j)
+    if bad:
+        raise SpecificationError(
+            f"{label} is rank deficient; dependent column(s): {', '.join(bad)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,11 +79,6 @@ class ModelSpec:
             raise SpecificationError("design row counts must match the response")
         if W.shape[1] + Z.shape[1] >= n:
             raise SpecificationError("more coefficients than observations")
-        _check_full_rank(W, "mu_design")
-        _check_full_rank(Z, "sigma_design")
-        object.__setattr__(self, "response", y)
-        object.__setattr__(self, "mu_design", W)
-        object.__setattr__(self, "sigma_design", Z)
         mu_names = tuple(self.mu_names) or tuple(
             f"mu{j + 1}" for j in range(W.shape[1])
         )
@@ -82,6 +87,11 @@ class ModelSpec:
         )
         if len(mu_names) != W.shape[1] or len(sigma_names) != Z.shape[1]:
             raise SpecificationError("coefficient name counts do not match designs")
+        _check_full_rank(W, "mu_design", mu_names)
+        _check_full_rank(Z, "sigma_design", sigma_names)
+        object.__setattr__(self, "response", y)
+        object.__setattr__(self, "mu_design", W)
+        object.__setattr__(self, "sigma_design", Z)
         object.__setattr__(self, "mu_names", mu_names)
         object.__setattr__(self, "sigma_names", sigma_names)
 
@@ -317,7 +327,7 @@ def fit(
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         z = theta / se
-        pvals = 2.0 * norm.sf(np.abs(z))
+        pvals = 2.0 * ndtr(-np.abs(z))
     return FittedModel(
         theta_hat=theta,
         info_inverse=info_inv,
@@ -342,7 +352,7 @@ def wald_test(fitted: FittedModel, j: int, theta0: float = 0.0) -> tuple[float, 
     if not (np.isfinite(se) and se > 0):
         raise InferenceError(f"standard error for coefficient {j} is not positive")
     z = (float(fitted.theta_hat[j]) - theta0) / se
-    return z, float(2.0 * norm.sf(abs(z)))
+    return z, float(2.0 * ndtr(-abs(z)))
 
 
 def predict_median(fitted: FittedModel, new_mu_design) -> np.ndarray:

@@ -394,6 +394,11 @@ class TestDistCommand:
                      "--x", "1"]) == 1
         capsys.readouterr()
 
+    def test_hrf_where_cdf_rounds_to_one(self, capsys):
+        assert main(["dist", "hrf", "--beta", "1", "--lambda", "1",
+                     "--x", "40"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
 
 class TestSampleCommand:
     def test_reproducible_bytes(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import kurtosis, norm, skew
 
 from tiltreg import (
     MedianTiltedExponential,
@@ -174,6 +177,24 @@ class TestReportAndRendering:
             "mean", "variance", "skewness", "excess_kurtosis"
         }
         assert report.residuals.size == 80
+
+    def test_summary_moments_match_scipy(self):
+        rng = np.random.default_rng(12)
+        for r in (rng.normal(size=80), rng.gamma(2.0, size=1000) - 2.0):
+            summary = build_report(r).summary
+            assert summary["skewness"] == pytest.approx(skew(r), abs=1e-12)
+            assert summary["excess_kurtosis"] == pytest.approx(kurtosis(r), abs=1e-12)
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # a fresh interpreter importing the same package as this test run
+        import tiltreg
+
+        src = os.path.dirname(os.path.dirname(tiltreg.__file__))
+        code = "import sys, tiltreg.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
     def test_report_rejects_tiny_samples(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,9 @@ from tiltreg import (
     MedianTiltedExponential,
     NumericalError,
     TiltedDistribution,
-    TiltedExponential,
     beta_from_quantile,
+    median_tilted_cdf,
+    median_tilted_logpdf,
 )
 
 LOG2 = math.log(2.0)
@@ -21,56 +22,53 @@ mus = st.floats(min_value=0.1, max_value=100.0)
 sigmas = st.floats(min_value=0.01, max_value=10.0)
 
 
+def classical(beta, rate):
+    """The tilted exponential in (beta, rate) coordinates."""
+    return TiltedDistribution(ExponentialBaseline(rate), beta)
+
+
 # ---------------------------------------------------------------------------
 # classical (beta, rate) closed forms
 # ---------------------------------------------------------------------------
 
 class TestClosedForms:
     def test_cdf_value(self):
-        assert TiltedExponential(1.0, 1.0).cdf(1.0) == pytest.approx(
+        assert classical(1.0, 1.0).cdf(1.0) == pytest.approx(
             0.43755424751176386, abs=1e-15
         )
 
     def test_cdf_lower_limit(self):
-        assert TiltedExponential(2.0, 1.5).cdf(1e-12) == pytest.approx(0.0, abs=1e-11)
-
-    def test_agrees_with_generic_family(self):
-        x = np.linspace(0.01, 20.0, 400)
-        for beta, rate in [(0.5, 1.0), (1.0, 2.0), (3.0, 0.7)]:
-            closed = TiltedExponential(beta, rate)
-            generic = TiltedDistribution(ExponentialBaseline(rate), beta)
-            assert np.max(np.abs(closed.cdf(x) - generic.cdf(x))) < 1e-14
-            assert np.allclose(closed.pdf(x), generic.pdf(x), rtol=1e-12, atol=1e-300)
+        assert classical(2.0, 1.5).cdf(1e-12) == pytest.approx(0.0, abs=1e-11)
 
     def test_pdf_matches_cdf_derivative(self):
-        d = TiltedExponential(2.0, 1.0)
+        d = classical(2.0, 1.0)
         for x in (0.2, 1.0, 3.5):
             h = 1e-6 * max(1.0, x)
             fd = (d.cdf(x + h) - d.cdf(x - h)) / (2 * h)
             assert d.pdf(x) == pytest.approx(fd, abs=1e-6)
 
     def test_complement_identity(self):
-        d = TiltedExponential(1.3, 0.8)
+        d = classical(1.3, 0.8)
         for t in (0.1, 1.0, 4.0):
             assert d.sf(t) + d.cdf(t) == 1.0
 
     def test_hazard_identity(self):
-        d = TiltedExponential(1.3, 0.8)
+        d = classical(1.3, 0.8)
         for t in (0.1, 1.0, 4.0):
             assert d.hazard(t) * d.sf(t) == pytest.approx(d.pdf(t), rel=1e-12)
 
     def test_hazard_overflow(self):
         with pytest.raises(NumericalError):
-            TiltedExponential(1.0, 1.0).hazard(2000.0)
+            classical(1.0, 1.0).hazard(2000.0)
 
     def test_parameter_validation(self):
         for bad in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0)):
             with pytest.raises(ValueError):
-                TiltedExponential(*bad)
+                classical(*bad)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            TiltedExponential(1.0, 1.0).cdf(-1.0)
+            classical(1.0, 1.0).cdf(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +80,13 @@ class TestBetaFromQuantile:
         rate, q, tau = 1.0, 0.5, 0.3
         beta = beta_from_quantile(rate, q, tau)
         assert beta > 0
-        reproduced = TiltedExponential(beta, rate).cdf(q)
+        reproduced = classical(beta, rate).cdf(q)
         assert reproduced == pytest.approx(tau, abs=1e-12)
 
     def test_matches_median_parameterization(self):
         mu, sigma = 2.0, 1.0
         rate = (sigma + LOG2) / mu
-        implied = MedianTiltedExponential(mu, sigma).to_classical().beta
+        implied = MedianTiltedExponential(mu, sigma).beta
         assert beta_from_quantile(rate, mu, 0.5) == pytest.approx(implied, rel=1e-13)
 
     def test_roundtrip_across_feasible_grid(self):
@@ -99,7 +97,7 @@ class TestBetaFromQuantile:
                 hi = -math.log1p(-min(tau * math.e, 1.0 - 1e-9)) / rate
                 q = 0.5 * (lo + hi)
                 beta = beta_from_quantile(rate, q, tau)
-                assert TiltedExponential(beta, rate).cdf(q) == pytest.approx(
+                assert classical(beta, rate).cdf(q) == pytest.approx(
                     tau, abs=1e-12
                 )
 
@@ -130,17 +128,20 @@ class TestMedianParameterization:
     def test_rate_identity(self):
         sigma = 0.9
         m = MedianTiltedExponential(sigma + LOG2, sigma)
-        assert m.to_classical().rate == pytest.approx(1.0, rel=1e-15)
+        assert m.baseline.rate == pytest.approx(1.0, rel=1e-15)
 
     def test_conversion_values(self):
-        classical = MedianTiltedExponential(2.0, 1.0).to_classical()
-        assert classical.rate == pytest.approx(0.8465735902799727, rel=1e-14)
-        assert classical.beta == pytest.approx(0.4214604421527134, rel=1e-12)
+        m = MedianTiltedExponential(2.0, 1.0)
+        assert isinstance(m, TiltedDistribution)
+        assert m.baseline.rate == pytest.approx(0.8465735902799727, rel=1e-14)
+        assert m.beta == pytest.approx(0.4214604421527134, rel=1e-12)
 
     def test_median_pinned_via_classical(self):
         for mu, sigma in [(0.5, 0.1), (2.0, 1.0), (40.0, 5.0)]:
-            classical = MedianTiltedExponential(mu, sigma).to_classical()
-            assert classical.cdf(mu) == pytest.approx(0.5, abs=1e-14)
+            m = MedianTiltedExponential(mu, sigma)
+            assert classical(m.beta, m.baseline.rate).cdf(mu) == pytest.approx(
+                0.5, abs=1e-14
+            )
 
     def test_median_pinning_log_grid(self):
         mu_grid = np.exp(np.linspace(np.log(0.1), np.log(100.0), 20))
@@ -153,10 +154,10 @@ class TestMedianParameterization:
         assert worst < 1e-12
 
     def test_cdf_agrees_with_classical_route(self):
-        m = MedianTiltedExponential(2.0, 1.0)
-        classical = m.to_classical()
+        # the regression kernel against the generic family in (beta, rate)
         x = np.linspace(0.01, 12.0, 200)
-        assert np.max(np.abs(m.cdf(x) - classical.cdf(x))) < 1e-13
+        m = MedianTiltedExponential(2.0, 1.0)
+        assert np.max(np.abs(median_tilted_cdf(x, 2.0, 1.0) - m.cdf(x))) < 1e-13
 
     def test_cdf_two_route_value(self):
         # cross-checked through the (beta, rate) route
@@ -165,10 +166,10 @@ class TestMedianParameterization:
         )
 
     def test_pdf_agrees_with_classical_route(self):
-        m = MedianTiltedExponential(2.0, 1.0)
-        classical = m.to_classical()
         x = np.linspace(0.01, 12.0, 200)
-        assert np.allclose(m.pdf(x), classical.pdf(x), rtol=1e-12)
+        m = MedianTiltedExponential(2.0, 1.0)
+        kernel = np.exp(median_tilted_logpdf(x, 2.0, 1.0))
+        assert np.allclose(kernel, m.pdf(x), rtol=1e-12)
 
     def test_pdf_integrates_to_one(self):
         m = MedianTiltedExponential(1.5, 0.4)
@@ -184,15 +185,15 @@ class TestMedianParameterization:
 
     def test_reparameterization_inverts(self):
         for mu, sigma in [(0.3, 0.05), (2.0, 1.0), (25.0, 4.0)]:
-            classical = MedianTiltedExponential(mu, sigma).to_classical()
-            mu_back = classical.quantile(0.5)
-            sigma_back = classical.rate * mu_back - LOG2
+            m = MedianTiltedExponential(mu, sigma)
+            mu_back = m.quantile(0.5)
+            sigma_back = m.baseline.rate * mu_back - LOG2
             assert mu_back == pytest.approx(mu, abs=1e-8)
             assert sigma_back == pytest.approx(sigma, abs=1e-8)
 
     def test_implied_beta_positive_across_sigma(self):
         for sigma in np.exp(np.linspace(np.log(1e-6), np.log(1e3), 40)):
-            beta = MedianTiltedExponential(1.0, float(sigma)).to_classical().beta
+            beta = MedianTiltedExponential(1.0, float(sigma)).beta
             assert beta > 0
 
     def test_tiny_sigma_rejected(self):
@@ -207,9 +208,8 @@ class TestMedianParameterization:
 
     def test_large_x_over_mu_stays_finite(self):
         # one-shot exp((x/mu) log L) must not underflow through intermediates
-        m = MedianTiltedExponential(0.05, 3.0)
-        v = m.log_pdf(5.0)  # x/mu = 100
-        assert np.isfinite(v)
+        assert np.isfinite(median_tilted_logpdf(5.0, 0.05, 3.0))  # x/mu = 100
+        assert np.isfinite(MedianTiltedExponential(0.05, 3.0).log_pdf(5.0))
 
     def test_sampling_matches_distribution(self):
         m = MedianTiltedExponential(3.0, 0.5)
@@ -229,4 +229,4 @@ class TestMedianParameterization:
     @given(mus, sigmas, st.floats(min_value=0.05, max_value=20.0))
     def test_two_route_property(self, mu, sigma, x):
         m = MedianTiltedExponential(mu, sigma)
-        assert m.cdf(x) == pytest.approx(m.to_classical().cdf(x), abs=1e-13)
+        assert median_tilted_cdf(x, mu, sigma) == pytest.approx(m.cdf(x), abs=1e-13)

@@ -17,6 +17,7 @@ from tiltreg import family
 betas = st.floats(min_value=0.2, max_value=8.0)
 rates = st.floats(min_value=0.05, max_value=20.0)
 probs = st.floats(min_value=1e-4, max_value=1.0 - 1e-4)
+tail_betas = st.floats(min_value=0.1, max_value=20.0)
 
 
 def tilted(lam=1.0, beta=1.0):
@@ -119,6 +120,56 @@ class TestSurvivalAndHazard:
     def test_underflowed_survival_raises(self):
         with pytest.raises(NumericalError):
             tilted(1.0, 1.0).hazard(1000.0)
+
+    def test_hazard_where_cdf_rounds_to_one(self):
+        # F(40) rounds to 1, so 1 - F would give S = 0; the hazard is 1
+        d = tilted(1.0, 1.0)
+        assert d.cdf(40.0) == 1.0
+        assert d.sf(40.0) == pytest.approx(2.0 * math.exp(-40.0), rel=1e-15)
+        assert d.hazard(40.0) == pytest.approx(1.0, rel=1e-13)
+
+    def test_tail_oracle(self):
+        # with a = e^(-lam x): S = 1 - (1-a) exp(-a^beta) = a + a^beta up to
+        # relative terms below max(a, a^beta) < 1e-17, i.e. exactly in double
+        # precision.  The slack covers rounding of the exponent lam*x ~ 700.
+        for lam, beta in [(1.0, 0.1), (0.3, 0.5), (2.0, 1.0), (1.0, 3.0), (5.0, 20.0)]:
+            d = tilted(lam, beta)
+            x_far = 690.0 / (lam * min(1.0, beta))
+            for x in np.linspace(45.0 / (lam * min(1.0, beta)), x_far, 40):
+                oracle = math.exp(-lam * x) + math.exp(-beta * lam * x)
+                assert d.sf(x) == pytest.approx(oracle, rel=1e-12), (lam, beta, x)
+                assert d.log_sf(x) == pytest.approx(math.log(oracle), rel=1e-14)
+
+    @settings(max_examples=100)
+    @given(tail_betas, rates, probs)
+    def test_complement_in_the_bulk(self, beta, lam, p):
+        d = tilted(lam, beta)
+        x = d.quantile(p)
+        assert abs(d.sf(x) + d.cdf(x) - 1.0) <= 1e-15
+
+    @settings(max_examples=100)
+    @given(tail_betas, rates)
+    def test_log_sf_finite_and_decreasing_to_1e_300(self, beta, lam):
+        d = tilted(lam, beta)
+        x_far = 690.0 / (lam * min(1.0, beta))  # S(x_far) ~ 1e-300
+        x = np.concatenate([np.logspace(-8, 0, 50) * x_far / 100,
+                            np.linspace(x_far / 50, x_far, 500)])
+        log_s = d.log_sf(x)
+        assert np.all(np.isfinite(log_s))
+        assert np.all(np.diff(log_s) < 0.0)
+        assert log_s[-1] < math.log(1e-299)
+
+    @settings(max_examples=100)
+    @given(tail_betas, rates)
+    def test_hazard_tends_to_rate_times_min_one_beta(self, beta, lam):
+        # in the tail h = lam (a + beta a^beta) / (a + a^beta), a = e^(-lam x),
+        # which is lam*min(1, beta) up to lam |1-beta| r, r = a^|1-beta|;
+        # log f and log S are ~700 in size, so each carries ~1e-13 rounding
+        d = tilted(lam, beta)
+        x_far = 690.0 / (lam * min(1.0, beta))
+        limit = lam * min(1.0, beta)
+        r = math.exp(-abs(1.0 - beta) * lam * x_far)
+        assert abs(d.hazard(x_far) - limit) <= lam * abs(1.0 - beta) * r + 1e-11 * limit
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +280,8 @@ class TestQuantile:
         from tiltreg import MedianTiltedExponential
 
         mu, sigma = 3.0, 0.7
-        classical = MedianTiltedExponential(mu, sigma).to_classical()
-        d = tilted(classical.rate, classical.beta)
+        m = MedianTiltedExponential(mu, sigma)
+        d = tilted(m.baseline.rate, m.beta)
         assert d.quantile(0.5) == pytest.approx(mu, rel=1e-12)
 
     def test_inverse_of_cdf_oracle(self):

@@ -49,6 +49,17 @@ class TestModelSpec:
         with pytest.raises(SpecificationError, match="rank deficient"):
             ModelSpec(response=y, mu_design=W, sigma_design=np.ones((10, 1)))
 
+    def test_rank_deficiency_names_the_dependent_column(self):
+        col = np.linspace(0, 1, 10)
+        W = np.column_stack([np.ones(10), col, 2.0 * col])
+        with pytest.raises(SpecificationError, match="dependent column.*: b$"):
+            ModelSpec(response=np.linspace(1, 2, 10), mu_design=W,
+                      sigma_design=np.ones((10, 1)),
+                      mu_names=("(Intercept)", "a", "b"))
+        with pytest.raises(SpecificationError, match="sigma_design.*: sigma3$"):
+            ModelSpec(response=np.linspace(1, 2, 10), mu_design=np.ones((10, 1)),
+                      sigma_design=W)
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(SpecificationError):
             ModelSpec(response=np.ones(5), mu_design=np.ones((4, 1)),
