@@ -19,20 +19,14 @@ from .diagnostics import (
     worm_plot_data,
 )
 from .errors import InferenceError, NumericalError, SpecificationError
-from .exponential import (
-    MedianTiltedExponential,
-    beta_from_quantile,
-    median_tilted_cdf,
-    median_tilted_logpdf,
-)
-from .family import TiltVariable, TiltedDistribution
+from .exponential import MedianTiltedExponential
+from .family import TiltedDistribution
 from .regression import (
     FittedModel,
     ModelSpec,
     fit,
     log_likelihood,
     loglik_gradient,
-    numerical_hessian,
     observed_information,
     predict_median,
     predict_sigma,
@@ -51,9 +45,7 @@ __all__ = [
     "ModelSpec",
     "NumericalError",
     "SpecificationError",
-    "TiltVariable",
     "TiltedDistribution",
-    "beta_from_quantile",
     "build_design",
     "build_report",
     "design_schema",
@@ -61,9 +53,6 @@ __all__ = [
     "ingest_csv",
     "log_likelihood",
     "loglik_gradient",
-    "median_tilted_cdf",
-    "median_tilted_logpdf",
-    "numerical_hessian",
     "observed_information",
     "predict_median",
     "predict_sigma",

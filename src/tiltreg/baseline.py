@@ -1,9 +1,9 @@
 """Baseline distributions on the positive half-line.
 
 The tilted family in :mod:`tiltreg.family` is generic over a baseline
-distribution that supplies a CDF ``G``, a density ``g`` and a quantile
-function, all on the support ``(0, inf)``.
-Baselines with any other support are not admitted.
+distribution that supplies a CDF ``G``, a density ``g``, a quantile function
+and the log-survival pair ``log(1 - G)`` and its inverse, all on the support
+``(0, inf)``.  Baselines with any other support are not admitted.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ def _scalar_like(result, reference):
 class BaselineDistribution(ABC):
     """Continuous distribution on (0, inf) usable as a tilt baseline.
 
-    Subclasses must provide ``cdf``, ``pdf`` and ``quantile``.  ``log_pdf``,
-    ``log_sf`` and ``quantile_from_log_sf`` have generic fallbacks and exist
-    so that tail evaluations can stay in log space.
+    A baseline provides six methods: ``cdf``, ``pdf``, ``quantile``,
+    ``log_sf``, ``quantile_from_log_sf`` and ``log_pdf``.  The first five are
+    abstract; ``log_pdf`` defaults to ``log(pdf)``.  The log-survival pair is
+    required because the tilted tails are computed in log space, and no
+    generic form derived from ``cdf`` stays accurate once G rounds to 1.
 
     All operations are pure functions of immutable parameters and accept
     scalars or NumPy arrays.
@@ -58,18 +60,17 @@ class BaselineDistribution(ABC):
     def quantile(self, p):
         """Inverse CDF for p in (0, 1)."""
 
+    @abstractmethod
+    def log_sf(self, x):
+        """log(1 - G(x)) for x > 0, finite wherever 1 - G(x) is representable."""
+
+    @abstractmethod
+    def quantile_from_log_sf(self, log_s):
+        """x with log(1 - G(x)) = log_s, for log_s < 0."""
+
     def log_pdf(self, x):
         with np.errstate(divide="ignore"):
             return np.log(self.pdf(x))
-
-    def log_sf(self, x):
-        """log(1 - G(x)); override when a cancellation-free form exists."""
-        with np.errstate(divide="ignore"):
-            return np.log1p(-np.asarray(self.cdf(x)))
-
-    def quantile_from_log_sf(self, log_s):
-        """x with log(1 - G(x)) = log_s; the fallback caps G(x) at 1 - 1e-16."""
-        return self.quantile(np.minimum(-np.expm1(log_s), 1.0 - 1e-16))
 
 
 @dataclass(frozen=True)

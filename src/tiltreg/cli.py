@@ -194,8 +194,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         # non-convergence is reported through the exit code, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
-        model = fit(spec, max_iter=config.max_iter, grad_tol=config.grad_tol,
-                    ll_tol=config.ll_tol)
+        model = fit(spec, max_iter=config.max_iter, grad_tol=config.grad_tol)
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(

@@ -34,7 +34,6 @@ class ModelConfig:
     sigma_terms: tuple[str, ...] = ()
     max_iter: int = 500
     grad_tol: float = 1e-6
-    ll_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(
@@ -235,10 +234,8 @@ def design_schema(table: DatasetTable, config: ModelConfig) -> dict:
 def table_from_schema(path, schema: dict, require_response: bool) -> DatasetTable:
     """Ingest a CSV against a stored schema (used by predict/residuals).
 
-    Column kinds and categorical level sets are replayed from the schema
-    rather than re-inferred, so a prediction file with, say, a single origin
-    level still dummy-codes against the training levels; an unseen level is
-    an error naming it.
+    Column kinds are replayed from the schema rather than re-inferred;
+    ``prediction_designs`` then replays the categorical level sets.
     """
     terms = tuple(t["name"] for t in schema["columns"])
     kinds = {t["name"]: t["kind"] for t in schema["columns"]}
@@ -253,31 +250,22 @@ def table_from_schema(path, schema: dict, require_response: bool) -> DatasetTabl
         if not rows:
             raise SpecificationError(f"{path}: no data rows")
         return DatasetTable(columns=(), n_rows=len(rows), n_dropped=0)
-    table = ingest_csv(path, config, kinds=kinds)
-    for t in schema["columns"]:
-        if t["kind"] == "categorical":
-            name = t["name"]
-            trained = tuple(t["levels"])
-            unknown = sorted(set(table.categorical[name]) - set(trained))
-            if unknown:
-                raise SpecificationError(
-                    f"column {name}: unknown level(s) {', '.join(unknown)}"
-                )
-            table.levels[name] = trained
-    return table
+    return ingest_csv(path, config, kinds=kinds)
 
 
 def prediction_designs(table: DatasetTable, schema: dict
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_design, sigma_design) for new data under a stored schema."""
+    """(mu_design, sigma_design) for new data under a stored schema.
+
+    Categorical columns dummy-code against the training levels, so a file
+    with, say, a single origin level still gets every trained column; an
+    unseen level is an error naming it.
+    """
     levels = {
         t["name"]: tuple(t["levels"])
         for t in schema["columns"]
         if t["kind"] == "categorical"
     }
-    if not table.columns:  # intercept-only schema
-        ones = np.ones((table.n_rows, 1))
-        return ones, ones
     W, _ = _design_matrix(table, tuple(schema["mu_terms"]), levels)
     Z, _ = _design_matrix(table, tuple(schema["sigma_terms"]), levels)
     return W, Z

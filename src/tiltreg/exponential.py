@@ -6,8 +6,8 @@ With an exponential baseline of rate ``lam`` the tilted CDF collapses to
 
 That law is ``TiltedDistribution(ExponentialBaseline(lam), beta)``; this
 module defines no distribution class of its own.  It holds the median
-reparameterization, the shape that pins a given quantile, and the vectorized
-kernels the regression evaluates once per observation.
+reparameterization and the vectorized kernels the regression evaluates once
+per observation.
 
 The median parameterization replaces (beta, lam) by (mu, sigma), where mu is
 the distribution's median and sigma > 0 reshapes the tails:
@@ -43,38 +43,6 @@ def _log_expm1(t):
     """log(exp(t) - 1) for t > 0 without overflow."""
     t = np.asarray(t, dtype=float)
     return np.where(t > 30.0, t, np.log(np.expm1(np.minimum(t, 30.0))))
-
-
-def beta_from_quantile(rate: float, q: float, tau: float) -> float:
-    """Shape beta making q the tau-th quantile of a tilted exponential.
-
-    Inverts  tau = (1 - e^{-rate*q}) * exp(-e^{-beta*rate*q})  for beta:
-
-        beta = -log(log((1 - e^{-rate*q}) / tau)) / (rate * q).
-
-    A positive solution exists only when tau < 1 - e^{-rate*q} < tau*e;
-    outside that window the inner logarithms leave the feasible branch.
-    """
-    if not (np.isfinite(rate) and rate > 0):
-        raise ValueError("rate must be a positive finite number")
-    if not (np.isfinite(q) and q > 0):
-        raise ValueError("q must be a positive finite number")
-    if not (0 < tau < 1):
-        raise ValueError("tau must lie strictly inside (0, 1)")
-    reach = -math.expm1(-rate * q)  # 1 - e^{-rate*q}
-    ratio = reach / tau
-    if ratio <= 1.0:
-        raise ValueError(
-            f"no positive shape exists: requires 1 - exp(-rate*q) > tau, "
-            f"got {reach:.6g} <= {tau:.6g}"
-        )
-    inner = math.log(ratio)
-    if inner >= 1.0:
-        raise ValueError(
-            f"no positive shape exists: requires 1 - exp(-rate*q) < tau*e, "
-            f"got {reach:.6g} >= {tau * math.e:.6g}"
-        )
-    return -math.log(inner) / (rate * q)
 
 
 def _reparam_constants(mu: float, sigma: float) -> tuple[float, float, float]:

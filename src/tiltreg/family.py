@@ -50,16 +50,14 @@ _QUAD_ABS_TOL = 1e-10
 _QUAD_REL_TOL = 1e-8
 _TAIL_SF_CUTOFF = 1e-14
 
+# Subintervals of the mode scan.
+_MODE_GRID = 256
+
 
 def _check_beta(beta: float) -> float:
     if not (np.isfinite(beta) and beta > 0):
         raise ValueError("beta must be a positive finite number")
     return float(beta)
-
-
-def _aux_cdf_raw(y, beta):
-    # y * exp(-(1-y)^beta) without domain checks; y may touch the endpoints.
-    return y * np.exp(-np.exp(beta * np.log1p(-y)))
 
 
 def _log1mexp(x):
@@ -116,35 +114,6 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
         s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
     raise NumericalError(f"auxiliary quantile solve did not converge within "
                          f"{_ROOT_MAX_ITER} iterations ({todo.size} elements left)")
-
-
-@dataclass(frozen=True)
-class TiltVariable:
-    """Unit-interval auxiliary variable with CDF ``y * exp(-(1-y)**beta)``.
-
-    Its density is ``exp(-(1-y)^beta) * (1 + y*beta*(1-y)^(beta-1))`` on
-    (0, 1).  Quantiles of the tilted distribution factor through this
-    variable's quantile followed by the baseline quantile.
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-
-    def density(self, y):
-        # the CDF times d(log CDF)/ds times ds/dy = e^s
-        s = -np.log1p(-_require_probability(y, "y"))
-        log_cdf, inv_slope = _aux_log_cdf_s(s, self.beta)
-        return _scalar_like(np.exp(log_cdf + s) / inv_slope, y)
-
-    def cdf(self, y):
-        y = _require_probability(y, "y")
-        return _scalar_like(_aux_cdf_raw(y, self.beta), y)
-
-    def quantile(self, p):
-        p = _require_probability(p)
-        return _scalar_like(-np.expm1(-_aux_log_sf_solve(self.beta, p)), p)
 
 
 @dataclass(frozen=True)
@@ -244,15 +213,15 @@ class TiltedDistribution:
 
     # -- mode ------------------------------------------------------------
 
-    def mode(self, grid_points: int = 256) -> float | None:
+    def mode(self) -> float | None:
         """Interior mode, or None when no interior critical point exists.
 
-        Scans ``grid_points`` subintervals of [quantile(0.001),
-        quantile(0.999)] for a sign change of d/dx log f (central
-        differences), then polishes the bracketing interval with Brent's
-        method.  A root only qualifies when the derivative passes from
-        positive to negative, i.e. the point is a local maximum.  With
-        several qualifying roots the one with the largest density wins.
+        Scans 256 subintervals of [quantile(0.001), quantile(0.999)] for a
+        sign change of d/dx log f (central differences), then polishes the
+        bracketing interval with Brent's method.  A root only qualifies when
+        the derivative passes from positive to negative, i.e. the point is a
+        local maximum.  With several qualifying roots the one with the largest
+        density wins.
         """
         lo = float(self.quantile(0.001))
         hi = float(self.quantile(0.999))
@@ -262,10 +231,10 @@ class TiltedDistribution:
             h = min(h, 0.5 * x)
             return float((self.log_pdf(x + h) - self.log_pdf(x - h)) / (2 * h))
 
-        xs = np.linspace(lo, hi, grid_points + 1)
+        xs = np.linspace(lo, hi, _MODE_GRID + 1)
         ss = np.array([slope(float(x)) for x in xs])
         candidates = []
-        for i in range(grid_points):
+        for i in range(_MODE_GRID):
             if ss[i] > 0.0 and ss[i + 1] < 0.0:
                 root = brentq(slope, xs[i], xs[i + 1], xtol=1e-12)
                 candidates.append(float(root))

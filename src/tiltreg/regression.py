@@ -29,6 +29,8 @@ from .exponential import median_tilted_logpdf, median_tilted_score
 
 _HESS_REL_STEP = 1e-5
 _RANK_RTOL = 1e-10
+# Relative log-likelihood change below which Newton polishing may stop.
+_LL_TOL = 1e-10
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -248,20 +250,17 @@ def _initial_theta(spec: ModelSpec) -> np.ndarray:
     return theta0
 
 
-def fit(
-    spec: ModelSpec,
-    max_iter: int = 500,
-    grad_tol: float = 1e-6,
-    ll_tol: float = 1e-10,
-) -> FittedModel:
+def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
+        ) -> FittedModel:
     """Maximize the log-likelihood and package estimates with inference.
 
-    A BFGS pass (with the central-difference score as its gradient) finds the
-    neighborhood of the optimum; Newton steps on the observed information then
-    polish until the score's max-norm falls below ``grad_tol`` and the
-    relative log-likelihood change falls below ``ll_tol``.  When the budget of
-    ``max_iter`` total iterations runs out first, the model is returned with
-    ``converged=False`` instead of raising.
+    A BFGS pass (with the analytic score ``loglik_gradient`` as its gradient)
+    finds the neighborhood of the optimum; Newton steps on the
+    finite-difference observed information then polish until the score's
+    max-norm falls below ``grad_tol`` and the relative log-likelihood change
+    falls below 1e-10.  When the budget of ``max_iter`` total iterations runs
+    out first, the model is returned with ``converged=False`` instead of
+    raising.
     """
     theta0 = _initial_theta(spec)
     ll0 = log_likelihood(spec, theta0)
@@ -284,7 +283,7 @@ def fit(
     g = loglik_gradient(spec, theta)
     gnorm = float(np.max(np.abs(g)))
     while True:
-        if gnorm < grad_tol and rel_change < ll_tol:
+        if gnorm < grad_tol and rel_change < _LL_TOL:
             converged = True
             break
         if iterations >= max_iter:

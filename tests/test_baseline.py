@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tiltreg import BaselineDistribution, ExponentialBaseline
+from tiltreg import BaselineDistribution, ExponentialBaseline, TiltedDistribution
 
 rates = st.floats(min_value=1e-3, max_value=1e3)
 probs = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
@@ -80,7 +80,7 @@ def test_pdf_matches_cdf_derivative():
 
 
 class _Weibull(BaselineDistribution):
-    """Weibull baseline that keeps every generic fallback."""
+    """Weibull baseline with exact log-survival forms."""
 
     def __init__(self, shape: float, scale: float):
         self.shape = shape
@@ -97,13 +97,39 @@ class _Weibull(BaselineDistribution):
     def quantile(self, p):
         return self.scale * (-np.log1p(-np.asarray(p))) ** (1.0 / self.shape)
 
+    def log_sf(self, x):
+        return -((np.asarray(x, dtype=float) / self.scale) ** self.shape)
 
-def test_fallback_quantile_from_log_sf():
-    w = _Weibull(2.0, 1.5)
-    log_s = np.array([-0.1, -1.0, -5.0])
-    assert np.allclose(w.quantile_from_log_sf(log_s), 1.5 * np.sqrt(-log_s), rtol=1e-12)
-    # where 1 - exp(log_s) rounds to one the fallback saturates at 1 - 1e-16
-    assert w.quantile_from_log_sf(-50.0) == w.quantile(1.0 - 1e-16)
+    def quantile_from_log_sf(self, log_s):
+        return self.scale * (-np.asarray(log_s, dtype=float)) ** (1.0 / self.shape)
+
+
+class TestWeibullTilt:
+    """beta < 1 over a non-exponential baseline, where G rounds to 1."""
+
+    d = TiltedDistribution(_Weibull(1.5, 1.0), 0.5)
+
+    def test_pdf_is_finite_where_cdf_rounds_to_one(self):
+        assert np.isfinite(self.d.pdf(12.0))
+        assert self.d.pdf(12.0) > 0.0
+
+    def test_sf_matches_closed_form(self):
+        a = math.exp(-(12.0**1.5))  # baseline survival at 12
+        expected = -math.expm1(-math.sqrt(a)) + a * math.exp(-math.sqrt(a))
+        assert expected == pytest.approx(9.4e-10, rel=1e-2)
+        assert self.d.sf(12.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_upper_quantile_roundtrips(self):
+        p = 1.0 - 1e-12
+        assert self.d.cdf(self.d.quantile(p)) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("missing", ["log_sf", "quantile_from_log_sf"])
+    def test_log_survival_pair_is_required(self, missing):
+        # the Weibull without one method: its abstract declaration shows through
+        incomplete = type("_Incomplete", (_Weibull,),
+                          {missing: getattr(BaselineDistribution, missing)})
+        with pytest.raises(TypeError, match=missing):
+            incomplete(1.5, 1.0)
 
 
 def test_exponential_quantile_from_log_sf_is_exact_in_the_tail():

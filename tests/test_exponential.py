@@ -11,10 +11,8 @@ from tiltreg import (
     MedianTiltedExponential,
     NumericalError,
     TiltedDistribution,
-    beta_from_quantile,
-    median_tilted_cdf,
-    median_tilted_logpdf,
 )
+from tiltreg.exponential import median_tilted_cdf, median_tilted_logpdf
 
 LOG2 = math.log(2.0)
 
@@ -69,55 +67,6 @@ class TestClosedForms:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             classical(1.0, 1.0).cdf(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# shape from a target quantile
-# ---------------------------------------------------------------------------
-
-class TestBetaFromQuantile:
-    def test_roundtrip(self):
-        rate, q, tau = 1.0, 0.5, 0.3
-        beta = beta_from_quantile(rate, q, tau)
-        assert beta > 0
-        reproduced = classical(beta, rate).cdf(q)
-        assert reproduced == pytest.approx(tau, abs=1e-12)
-
-    def test_matches_median_parameterization(self):
-        mu, sigma = 2.0, 1.0
-        rate = (sigma + LOG2) / mu
-        implied = MedianTiltedExponential(mu, sigma).beta
-        assert beta_from_quantile(rate, mu, 0.5) == pytest.approx(implied, rel=1e-13)
-
-    def test_roundtrip_across_feasible_grid(self):
-        for rate in (0.5, 1.0, 2.0):
-            for tau in (0.2, 0.5, 0.8):
-                # choose q so that tau < 1 - e^{-rate q} < tau*e
-                lo = -math.log1p(-tau) / rate
-                hi = -math.log1p(-min(tau * math.e, 1.0 - 1e-9)) / rate
-                q = 0.5 * (lo + hi)
-                beta = beta_from_quantile(rate, q, tau)
-                assert classical(beta, rate).cdf(q) == pytest.approx(
-                    tau, abs=1e-12
-                )
-
-    def test_unreachable_quantile_is_infeasible(self):
-        # 1 - e^{-rate q} <= tau: no positive shape reaches the target
-        with pytest.raises(ValueError, match="1 - exp"):
-            beta_from_quantile(1.0, 0.1, 0.5)
-
-    def test_negative_shape_branch_is_infeasible(self):
-        # 1 - e^{-rate q} >= tau*e forces the shape through zero
-        with pytest.raises(ValueError, match="tau"):
-            beta_from_quantile(1.0, 2.0, 0.3)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            beta_from_quantile(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            beta_from_quantile(1.0, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            beta_from_quantile(1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

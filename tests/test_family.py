@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tiltreg import (
+    BaselineDistribution,
     ExponentialBaseline,
     NumericalError,
-    TiltVariable,
     TiltedDistribution,
 )
 from tiltreg import family
+from tiltreg.baseline import _require_probability
 
 betas = st.floats(min_value=0.2, max_value=8.0)
 rates = st.floats(min_value=0.05, max_value=20.0)
@@ -176,39 +177,63 @@ class TestSurvivalAndHazard:
 # auxiliary unit-interval variable
 # ---------------------------------------------------------------------------
 
+class _Uniform(BaselineDistribution):
+    """Uniform(0, 1): the tilted family over it is the auxiliary variable."""
+
+    def cdf(self, y):
+        return _require_probability(y, "y")
+
+    def pdf(self, y):
+        return np.ones_like(_require_probability(y, "y"))
+
+    def quantile(self, p):
+        return _require_probability(p)
+
+    def log_sf(self, y):
+        return np.log1p(-_require_probability(y, "y"))
+
+    def quantile_from_log_sf(self, log_s):
+        return -np.expm1(log_s)
+
+
+def tilt_variable(beta):
+    """Auxiliary variable with CDF y * exp(-(1-y)**beta) on (0, 1)."""
+    return TiltedDistribution(_Uniform(), beta)
+
+
 class TestTiltVariable:
     def test_density_limit_at_one(self):
-        assert TiltVariable(1.0).density(1.0 - 1e-12) == pytest.approx(2.0, abs=1e-9)
+        assert tilt_variable(1.0).pdf(1.0 - 1e-12) == pytest.approx(2.0, abs=1e-9)
 
     def test_density_value(self):
         # e^-0.25 * (1 + 0.5*2*0.5), direct evaluation
-        assert TiltVariable(2.0).density(0.5) == pytest.approx(
+        assert tilt_variable(2.0).pdf(0.5) == pytest.approx(
             1.1682011746071073, abs=1e-14
         )
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
     def test_density_normalization(self, beta):
-        total, _ = quad(TiltVariable(beta).density, 0.0, 1.0, limit=300)
+        total, _ = quad(tilt_variable(beta).pdf, 0.0, 1.0, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_density_domain(self):
         with pytest.raises(ValueError):
-            TiltVariable(1.0).density(0.0)
+            tilt_variable(1.0).pdf(0.0)
         with pytest.raises(ValueError):
-            TiltVariable(1.0).density(1.0)
+            tilt_variable(1.0).pdf(1.0)
 
     def test_quantile_tends_to_one(self):
-        assert TiltVariable(2.0).quantile(1.0 - 1e-12) > 1.0 - 1e-5
+        assert tilt_variable(2.0).quantile(1.0 - 1e-12) > 1.0 - 1e-5
 
     def test_quantile_roundtrip(self):
-        v = TiltVariable(1.6)
+        v = tilt_variable(1.6)
         p = np.linspace(0.01, 0.99, 99)
         q = v.quantile(p)
         assert np.max(np.abs(q * np.exp(-((1 - q) ** 1.6)) - p)) < 1e-12
 
     def test_known_root(self):
         # bisection oracle to 1e-14, verified by substitution
-        q = TiltVariable(1.0).quantile(0.25)
+        q = tilt_variable(1.0).quantile(0.25)
         assert q == pytest.approx(0.43837841630998287, abs=1e-12)
         assert q * math.exp(-(1 - q)) == pytest.approx(0.25, abs=1e-13)
 
@@ -446,8 +471,6 @@ class TestMoments:
 def test_baseline_with_negative_support_rejected():
     from scipy.stats import norm
 
-    from tiltreg import BaselineDistribution
-
     class _NormalBaseline(BaselineDistribution):
         def cdf(self, x):
             return norm.cdf(x, loc=2.0)
@@ -457,6 +480,12 @@ def test_baseline_with_negative_support_rejected():
 
         def quantile(self, p):
             return norm.ppf(p, loc=2.0)
+
+        def log_sf(self, x):
+            return norm.logsf(x, loc=2.0)
+
+        def quantile_from_log_sf(self, log_s):
+            return norm.isf(np.exp(log_s), loc=2.0)
 
     with pytest.raises(ValueError, match="support"):
         TiltedDistribution(_NormalBaseline(), 2.0)

@@ -11,11 +11,12 @@ from tiltreg import (
     fit,
     log_likelihood,
     loglik_gradient,
-    numerical_hessian,
     observed_information,
     predict_median,
     wald_test,
 )
+from tiltreg.exponential import median_tilted_logpdf
+from tiltreg.regression import numerical_hessian
 from tests.conftest import simulate_intercept_only
 
 
@@ -85,8 +86,6 @@ class TestLogLikelihood:
         # the i-th contribution for y_i = mu_i is just log f(mu; mu, sigma);
         # a literal 1-row ModelSpec is unconstructible (it enforces p < n),
         # so the base case is checked through the contribution function
-        from tiltreg import median_tilted_logpdf
-
         mu, sigma = 2.0, 0.8
         expected = float(MedianTiltedExponential(mu, sigma).log_pdf(mu))
         assert float(median_tilted_logpdf(mu, mu, sigma)) == pytest.approx(
@@ -94,8 +93,6 @@ class TestLogLikelihood:
         )
 
     def test_sum_of_contributions(self):
-        from tiltreg import median_tilted_logpdf
-
         y = np.array([0.5, 2.0, 3.7])
         spec = intercept_spec(y)
         theta = np.array([math.log(2.0), math.log(0.8)])
