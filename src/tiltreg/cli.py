@@ -156,23 +156,27 @@ def _write_json(path, document: dict) -> None:
 def _load_model(path) -> tuple[FittedModel, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SpecificationError(f"{path} holds a JSON {type(doc).__name__}, not an object")
     if doc.get("format") != _MODEL_FORMAT:
         raise SpecificationError(f"{path} is not a {_MODEL_FORMAT} file")
-    model = FittedModel(
-        theta_hat=np.array(doc["estimates"], dtype=float),
-        info_inverse=np.array(doc["info_inverse"], dtype=float),
-        std_errors=np.array(doc["std_errors"], dtype=float),
-        z_stats=np.array(doc["z_stats"], dtype=float),
-        p_values=np.array(doc["p_values"], dtype=float),
-        loglik_at_optimum=float(doc["loglik"]),
-        converged=bool(doc["converged"]),
-        iterations=int(doc["iterations"]),
-        gradient_max_norm=float(doc["gradient_max_norm"]),
-        n_mu_coefs=int(doc["n_mu_coefs"]),
-        n_obs=int(doc["n_obs"]),
-        coef_names=tuple(doc["coefficients"]),
-    )
-    return model, doc["schema"]
+    try:
+        model = FittedModel(
+            theta_hat=np.array(doc["estimates"], dtype=float),
+            info_inverse=np.array(doc["info_inverse"], dtype=float),
+            loglik_at_optimum=float(doc["loglik"]),
+            converged=bool(doc["converged"]),
+            iterations=int(doc["iterations"]),
+            gradient_max_norm=float(doc["gradient_max_norm"]),
+            n_mu_coefs=int(doc["n_mu_coefs"]),
+            n_obs=int(doc["n_obs"]),
+            coef_names=tuple(doc["coefficients"]),
+        )
+        return model, doc["schema"]
+    except KeyError as exc:
+        raise SpecificationError(f"{path} has no {exc} entry") from exc
+    except TypeError as exc:
+        raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
 
 
 def cmd_fit(args) -> int:
@@ -180,8 +184,6 @@ def cmd_fit(args) -> int:
         response=args.response,
         mu_terms=tuple(args.mu),
         sigma_terms=tuple(args.sigma),
-        max_iter=args.max_iter,
-        grad_tol=args.tol,
     )
     table = ingest_csv(args.data, config)
     if table.n_dropped:
@@ -194,7 +196,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         # non-convergence is reported through the exit code, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
-        model = fit(spec, max_iter=config.max_iter, grad_tol=config.grad_tol)
+        model = fit(spec, max_iter=args.max_iter, grad_tol=args.tol)
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(

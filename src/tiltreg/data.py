@@ -32,8 +32,6 @@ class ModelConfig:
     response: str
     mu_terms: tuple[str, ...] = ()
     sigma_terms: tuple[str, ...] = ()
-    max_iter: int = 500
-    grad_tol: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(

@@ -6,11 +6,12 @@ Each response ``y_i`` follows the median-parameterized tilted exponential with
     log(sigma_i) = z_i' gamma        (shape submodel, design Z)
 
 and the joint coefficient vector theta = (alpha, gamma) is estimated by
-maximum likelihood: a quasi-Newton pass followed by Newton polishing on the
-finite-difference Hessian, so that the reported optimum satisfies a gradient
-max-norm tolerance rather than whatever the line search last produced.
-Standard errors come from the inverse observed information (negative Hessian
-of the log-likelihood at the optimum) and hypothesis tests are Wald z-tests.
+maximum likelihood: a quasi-Newton pass followed by Newton polishing on a
+Hessian built from central differences of the analytic score, so that the
+reported optimum satisfies a gradient max-norm tolerance rather than whatever
+the line search last produced.  Standard errors come from the inverse observed
+information (negative of that Hessian at the optimum) and hypothesis tests are
+Wald z-tests.
 """
 
 from __future__ import annotations
@@ -162,42 +163,35 @@ def loglik_gradient(spec: ModelSpec, theta) -> np.ndarray:
     return g
 
 
-def numerical_hessian(f, x: np.ndarray, rel_step: float = _HESS_REL_STEP) -> np.ndarray:
-    """Central-difference Hessian of a scalar function, symmetric by design.
+def _hessian(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
+    """Hessian of the log-likelihood from central differences of the score.
 
-    Uses the four-point stencil
-    ``(f(x+hi+hj) - f(x+hi-hj) - f(x-hi+hj) + f(x-hi-hj)) / (4 hi hj)``
-    with per-coordinate steps ``rel_step * max(1, |x_j|)``.
+    Column j is ``(g(theta + h_j e_j) - g(theta - h_j e_j)) / (2 h_j)`` with
+    ``g = loglik_gradient`` and ``h_j = _HESS_REL_STEP * max(1, |theta_j|)``;
+    the result is symmetrized.  Each score sums exactly, so the Hessian does
+    not depend on the order of the observations.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    p = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    H = np.zeros((p, p))
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = h[i]
-        for j in range(i, p):
-            ej = np.zeros(p)
-            ej[j] = h[j]
-            val = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            H[i, j] = H[j, i] = val
-    return H
+    p = theta.size
+    h = _HESS_REL_STEP * np.maximum(1.0, np.abs(theta))
+    H = np.empty((p, p))
+    for j in range(p):
+        e = np.zeros(p)
+        e[j] = h[j]
+        H[:, j] = (loglik_gradient(spec, theta + e)
+                   - loglik_gradient(spec, theta - e)) / (2.0 * h[j])
+    return 0.5 * (H + H.T)
 
 
 def observed_information(spec: ModelSpec, theta_hat) -> tuple[np.ndarray, np.ndarray]:
     """Observed information J = -Hessian(loglik) and its inverse at theta_hat.
 
-    The Hessian is symmetrized as (H + H')/2 and J is inverted through a
-    Cholesky solve; failure of the factorization means theta_hat is not a
-    proper maximum (or the likelihood is flat along some direction), which is
-    reported as an InferenceError rather than returning garbage covariances.
+    The Hessian is built from central differences of the analytic score and J
+    is inverted through a Cholesky solve; failure of the factorization means
+    theta_hat is not a proper maximum (or the likelihood is flat along some
+    direction), reported as an InferenceError rather than garbage covariances.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    H = numerical_hessian(lambda t: log_likelihood(spec, t), theta_hat)
-    H = 0.5 * (H + H.T)
-    J = -H
+    J = -_hessian(spec, theta_hat)
     try:
         factor = cho_factor(J)
     except np.linalg.LinAlgError as exc:
@@ -215,14 +209,13 @@ class FittedModel:
     """Maximum-likelihood fit with Wald inference attached.
 
     ``theta_hat`` stacks the median coefficients first and the shape
-    coefficients after them; ``n_mu_coefs`` records the split.
+    coefficients after them; ``n_mu_coefs`` records the split.  The Wald
+    columns ``std_errors``, ``z_stats`` and ``p_values`` are derived from
+    ``theta_hat`` and ``info_inverse``.
     """
 
     theta_hat: np.ndarray
     info_inverse: np.ndarray
-    std_errors: np.ndarray
-    z_stats: np.ndarray
-    p_values: np.ndarray
     loglik_at_optimum: float
     converged: bool
     iterations: int
@@ -238,6 +231,20 @@ class FittedModel:
     @property
     def sigma_coefs(self) -> np.ndarray:
         return self.theta_hat[self.n_mu_coefs:]
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.info_inverse))
+
+    @property
+    def z_stats(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.theta_hat / self.std_errors
+
+    @property
+    def p_values(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return 2.0 * ndtr(-np.abs(self.z_stats))
 
 
 def _initial_theta(spec: ModelSpec) -> np.ndarray:
@@ -255,12 +262,12 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
     """Maximize the log-likelihood and package estimates with inference.
 
     A BFGS pass (with the analytic score ``loglik_gradient`` as its gradient)
-    finds the neighborhood of the optimum; Newton steps on the
-    finite-difference observed information then polish until the score's
-    max-norm falls below ``grad_tol`` and the relative log-likelihood change
-    falls below 1e-10.  When the budget of ``max_iter`` total iterations runs
-    out first, the model is returned with ``converged=False`` instead of
-    raising.
+    finds the neighborhood of the optimum; Newton steps on the observed
+    information, built from central differences of the analytic score, then
+    polish until the score's max-norm falls below ``grad_tol`` and the
+    relative log-likelihood change falls below 1e-10.  When the budget of
+    ``max_iter`` total iterations runs out first, the model is returned with
+    ``converged=False`` instead of raising.
     """
     theta0 = _initial_theta(spec)
     ll0 = log_likelihood(spec, theta0)
@@ -288,9 +295,8 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
             break
         if iterations >= max_iter:
             break
-        H = numerical_hessian(lambda t: log_likelihood(spec, t), theta)
         try:
-            step = np.linalg.solve(-0.5 * (H + H.T), g)
+            step = np.linalg.solve(-_hessian(spec, theta), g)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -312,27 +318,19 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
     p = spec.n_coefs
     try:
         _, info_inv = observed_information(spec, theta)
-        se = np.sqrt(np.diag(info_inv))
     except InferenceError:
         if converged:
             raise
         info_inv = np.full((p, p), np.nan)
-        se = np.full(p, np.nan)
     if not converged:
         warnings.warn(
             f"fit did not converge in {iterations} iterations "
             f"(gradient max-norm {gnorm:.3e})",
             RuntimeWarning,
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = theta / se
-        pvals = 2.0 * ndtr(-np.abs(z))
     return FittedModel(
         theta_hat=theta,
         info_inverse=info_inv,
-        std_errors=se,
-        z_stats=z,
-        p_values=pvals,
         loglik_at_optimum=ll,
         converged=converged,
         iterations=iterations,

@@ -113,6 +113,17 @@ class TestBuildDesign:
 # CLI end to end
 # ---------------------------------------------------------------------------
 
+LIME_TABLE = [
+    "",
+    "  coefficient          estimate  std. error    z-stat   p-value",
+    "  mu.(Intercept)         -1.578       0.131   -12.030    <0.001",
+    "  mu.Age                  0.035       0.002    16.599    <0.001",
+    "  mu.OriginNatural       -0.402       0.097    -4.159    <0.001",
+    "  mu.OriginPlanted        0.491       0.132     3.727    <0.001",
+    "  sigma.(Intercept)      -1.908       0.328    -5.818    <0.001",
+]
+
+
 def run_fit(tmp_path, lime_path, extra=()):
     out = tmp_path / "model.json"
     code = main([
@@ -126,10 +137,12 @@ class TestFitCommand:
     def test_lime_fit_table_and_exit_code(self, tmp_path, lime_path, capsys):
         code, out = run_fit(tmp_path, lime_path)
         assert code == 0
-        text = capsys.readouterr().out
-        assert "mu.(Intercept)" in text
-        assert "-1.578" in text
-        assert "<0.001" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Median regression fit (385 observations)"
+        # the iteration count is left free: it belongs to the optimizer
+        assert lines[1].startswith("  log-likelihood: -492.9301    iterations: ")
+        assert lines[1].endswith("    converged: yes")
+        assert lines[2:] == LIME_TABLE
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
         assert len(doc["estimates"]) == 5
@@ -257,6 +270,21 @@ class TestPredictCommand:
         rows = out.read_text().strip().splitlines()[1:]
         med = [float(r.split(",")[0]) for r in rows]
         assert 1.62 <= med[1] / med[0] <= 1.65
+
+    @pytest.mark.parametrize("document, message", [
+        ({"format": "tiltreg-model"}, "has no 'estimates' entry"),
+        ([1, 2], "holds a JSON list, not an object"),
+    ])
+    def test_malformed_model_file(self, tmp_path, lime_path, capsys, document,
+                                  message):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["predict", "--model", str(model),
+                     "--data", str(lime_path), "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(model) in err and message in err
 
     def test_unknown_level_named(self, model_path, tmp_path, capsys):
         csv = tmp_path / "new.csv"

@@ -16,8 +16,28 @@ from tiltreg import (
     wald_test,
 )
 from tiltreg.exponential import median_tilted_logpdf
-from tiltreg.regression import numerical_hessian
 from tests.conftest import simulate_intercept_only
+
+
+def four_point_hessian(f, x, rel_step=1e-5):
+    """Reference Hessian of a scalar function from the four-point stencil.
+
+    ``(f(x+hi+hj) - f(x+hi-hj) - f(x-hi+hj) + f(x-hi-hj)) / (4 hi hj)`` with
+    per-coordinate steps ``rel_step * max(1, |x_j|)``.
+    """
+    p = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    H = np.zeros((p, p))
+    for i in range(p):
+        ei = np.zeros(p)
+        ei[i] = h[i]
+        for j in range(i, p):
+            ej = np.zeros(p)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return H
 
 
 def intercept_spec(y):
@@ -162,31 +182,26 @@ class TestDerivatives:
                       - log_likelihood(spec, theta - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
-    def test_hessian_recovers_quadratic(self):
-        # truncation error vanishes on a quadratic, so a wider step leaves
-        # only O(eps/h^2) roundoff, well under the 1e-6 target
-        A = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.4], [-0.1, 0.4, 3.0]])
-        b = np.array([0.5, -1.0, 2.0])
-        f = lambda x: -0.5 * x @ A @ x + b @ x
-        H = numerical_hessian(f, np.array([0.3, -0.2, 1.0]), rel_step=1e-3)
-        assert np.max(np.abs(H + A)) < 1e-6
-
     def test_observed_information_symmetric_and_cross_checked(self, lime_spec,
                                                               lime_fit):
         J, J_inv = observed_information(lime_spec, lime_fit.theta_hat)
         assert np.max(np.abs(J - J.T)) < 1e-8
-        # independent route: Jacobian of the finite-difference score
-        theta = lime_fit.theta_hat
-        p = theta.size
-        Hj = np.zeros((p, p))
-        for i in range(p):
-            h = 1e-4 * max(1.0, abs(theta[i]))
-            e = np.zeros(p)
-            e[i] = h
-            Hj[i] = (loglik_gradient(lime_spec, theta + e)
-                     - loglik_gradient(lime_spec, theta - e)) / (2 * h)
-        assert np.allclose(J, -0.5 * (Hj + Hj.T), rtol=5e-4, atol=5e-4)
-        assert np.allclose(J @ J_inv, np.eye(p), atol=1e-8)
+        # independent route: four-point second differences of the likelihood
+        H = four_point_hessian(lambda t: log_likelihood(lime_spec, t),
+                               lime_fit.theta_hat)
+        assert np.allclose(J, -H, rtol=5e-4, atol=5e-4)
+        assert np.allclose(J @ J_inv, np.eye(J.shape[0]), atol=1e-8)
+
+    def test_observed_information_is_order_invariant(self, lime_spec, lime_fit):
+        perm = np.random.default_rng(4).permutation(lime_spec.n_obs)
+        shuffled = ModelSpec(
+            response=lime_spec.response[perm],
+            mu_design=lime_spec.mu_design[perm],
+            sigma_design=lime_spec.sigma_design[perm],
+        )
+        J, _ = observed_information(lime_spec, lime_fit.theta_hat)
+        J_shuffled, _ = observed_information(shuffled, lime_fit.theta_hat)
+        assert np.array_equal(J, J_shuffled)
 
     def test_information_rejects_saddle(self):
         spec = simulate_intercept_only(200, 3.0, 0.5, seed=11)
