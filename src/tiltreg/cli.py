@@ -153,6 +153,51 @@ def _write_json(path, document: dict) -> None:
         fh.write("\n")
 
 
+def _write_lines(path, header: str, lines) -> None:
+    """Write ``header`` and then each of ``lines`` as one CSV line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{header}\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_schema(path, schema) -> dict:
+    """Return ``schema`` if it has the layout ``design_schema`` writes.
+
+    Otherwise raise SpecificationError naming the file and the first entry
+    that is missing or of the wrong type.
+    """
+    def bad(what: str) -> SpecificationError:
+        return SpecificationError(f"{path} has a model schema {what}")
+
+    if not isinstance(schema, dict):
+        raise bad("that is not an object")
+    if not isinstance(schema.get("response"), str):
+        raise bad("without a response name")
+    for key in ("mu_terms", "sigma_terms"):
+        if not _is_names(schema.get(key)):
+            raise bad(f"whose {key!r} is not a list of names")
+    columns = schema.get("columns")
+    if not isinstance(columns, list):
+        raise bad("without a 'columns' list")
+    for column in columns:
+        if not (isinstance(column, dict) and isinstance(column.get("name"), str)):
+            raise bad("with a column entry that has no name")
+        kind = column.get("kind")
+        if kind == "categorical" and not _is_names(column.get("levels")):
+            raise bad(f"whose categorical column {column['name']!r} has no levels")
+        if kind not in ("numeric", "categorical"):
+            raise bad(f"whose column {column['name']!r} has kind {kind!r}")
+    named = {column["name"] for column in columns}
+    for term in schema["mu_terms"] + schema["sigma_terms"]:
+        if term not in named:
+            raise bad(f"whose term {term!r} has no column entry")
+    return schema
+
+
 def _load_model(path) -> tuple[FittedModel, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -172,7 +217,7 @@ def _load_model(path) -> tuple[FittedModel, dict]:
             n_obs=int(doc["n_obs"]),
             coef_names=tuple(doc["coefficients"]),
         )
-        return model, doc["schema"]
+        return model, _check_schema(path, doc["schema"])
     except KeyError as exc:
         raise SpecificationError(f"{path} has no {exc} entry") from exc
     except TypeError as exc:
@@ -234,10 +279,8 @@ def cmd_predict(args) -> int:
     W, Z = prediction_designs(table, schema)
     medians = predict_median(model, W)
     sigmas = predict_sigma(model, Z)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("median,sigma\n")
-        for m, s in zip(medians.tolist(), sigmas.tolist()):
-            fh.write(f"{m!r},{s!r}\n")
+    _write_lines(args.out, "median,sigma",
+                 (f"{m!r},{s!r}" for m, s in zip(medians.tolist(), sigmas.tolist())))
     print(f"wrote {len(medians)} prediction(s) to {args.out}")
     return 0
 
@@ -249,10 +292,7 @@ def cmd_residuals(args) -> int:
     y = table.numeric[schema["response"]]
     spec = ModelSpec(response=y, mu_design=W, sigma_design=Z)
     residuals = quantile_residuals(model, spec)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantile_residual\n")
-        for r in residuals.tolist():
-            fh.write(f"{r!r}\n")
+    _write_lines(args.out, "quantile_residual", map(repr, residuals.tolist()))
     print(f"wrote {len(residuals)} residual(s) to {args.out}")
     return 0
 
@@ -310,10 +350,7 @@ def cmd_dist(args) -> int:
 def cmd_sample(args) -> int:
     dist = _distribution_from(args)
     draws = dist.sample(args.n, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample\n")
-        for v in draws.tolist():
-            fh.write(f"{v!r}\n")
+    _write_lines(args.out, "sample", map(repr, draws.tolist()))
     print(f"wrote {args.n} draw(s) to {args.out}")
     return 0
 

@@ -143,24 +143,23 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 class _Canvas:
+    """Maps data coordinates, scalars or whole arrays, to SVG pixels."""
+
     def __init__(self, xlim, ylim):
         self.xlim = xlim
         self.ylim = ylim
-        self.parts: list[str] = []
 
-    def x(self, v: float) -> float:
+    def x(self, v):
         lo, hi = self.xlim
         return _ML + (v - lo) / (hi - lo) * (_W - _ML - _MR)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         lo, hi = self.ylim
         return _H - _MB - (v - lo) / (hi - lo) * (_H - _MT - _MB)
 
-    def add(self, s: str):
-        self.parts.append(s)
 
-
-def _render(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> str:
+def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> list[str]:
+    """The plot frame, axis ticks with their labels, and the three titles."""
     xt = _ticks(*canvas.xlim)
     yt = _ticks(*canvas.ylim)
     axes = []
@@ -201,12 +200,7 @@ def _render(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> str:
         f'<text x="{(x0 + x1) / 2:.2f}" y="24" text-anchor="middle" '
         f'font-size="15">{title}</text>',
     ]
-    body = "\n".join(axes + labels + canvas.parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
-        f'fill="white"/>\n{body}\n</svg>\n'
-    )
+    return axes + labels
 
 
 def _pad_limits(values: np.ndarray) -> tuple[float, float]:
@@ -220,63 +214,48 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
 
     Points are circles, the reference (identity line for QQ, zero line plus
     dotted 95% bands for worm) is drawn beneath them.  Byte output is a pure
-    function of the report contents.
+    function of the report contents.  Elements are written to the file as
+    they are formatted; the whole document is never held in memory.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")
     if kind == "qq":
-        pts = report.qq_points
-        xlim = _pad_limits(pts[:, 0])
+        pts, bands = report.qq_points, []
         ylim = _pad_limits(np.concatenate([pts[:, 1], pts[:, 0]]))
-        canvas = _Canvas(xlim, ylim)
-        canvas.add(
-            f'<line x1="{canvas.x(xlim[0]):.2f}" y1="{canvas.y(xlim[0]):.2f}" '
-            f'x2="{canvas.x(xlim[1]):.2f}" y2="{canvas.y(xlim[1]):.2f}" '
-            f'stroke="firebrick" stroke-width="1.5"/>'
-        )
-        for tx, ty in pts:
-            canvas.add(
-                f'<circle cx="{canvas.x(tx):.2f}" cy="{canvas.y(ty):.2f}" '
-                f'r="2.5" fill="steelblue" fill-opacity="0.7"/>'
-            )
-        svg = _render(
-            canvas,
-            "Normal QQ plot of quantile residuals",
-            "Theoretical quantile",
-            "Ordered residual",
-        )
+        title, ylabel = "Normal QQ plot of quantile residuals", "Ordered residual"
     else:
-        pts = report.worm_points
-        bands = report.bands
-        xlim = _pad_limits(pts[:, 0])
-        ylim = _pad_limits(
-            np.concatenate([pts[:, 1], bands[:, 0], bands[:, 1]])
+        pts, bands = report.worm_points, [report.bands[:, 0], report.bands[:, 1]]
+        ylim = _pad_limits(np.concatenate([pts[:, 1], *bands]))
+        title, ylabel = "Worm plot of quantile residuals", "Deviation"
+    xlim = _pad_limits(pts[:, 0])
+    canvas = _Canvas(xlim, ylim)
+    ref_y = xlim if kind == "qq" else (0, 0)
+    elements = _frame(canvas, title, "Theoretical quantile", ylabel)
+    elements.append(
+        f'<line x1="{canvas.x(xlim[0]):.2f}" y1="{canvas.y(ref_y[0]):.2f}" '
+        f'x2="{canvas.x(xlim[1]):.2f}" y2="{canvas.y(ref_y[1]):.2f}" '
+        f'stroke="firebrick" stroke-width="1.5"/>'
+    )
+    px = canvas.x(pts[:, 0]).tolist()
+    for band in bands:
+        coords = " ".join(
+            f"{tx:.2f},{b:.2f}" for tx, b in zip(px, canvas.y(band).tolist())
         )
-        canvas = _Canvas(xlim, ylim)
-        canvas.add(
-            f'<line x1="{canvas.x(xlim[0]):.2f}" y1="{canvas.y(0):.2f}" '
-            f'x2="{canvas.x(xlim[1]):.2f}" y2="{canvas.y(0):.2f}" '
-            f'stroke="firebrick" stroke-width="1.5"/>'
+        elements.append(
+            f'<polyline points="{coords}" fill="none" stroke="gray" '
+            f'stroke-width="1" stroke-dasharray="3,3"/>'
         )
-        for col in (0, 1):
-            coords = " ".join(
-                f"{canvas.x(tx):.2f},{canvas.y(b):.2f}"
-                for tx, b in zip(pts[:, 0], bands[:, col])
-            )
-            canvas.add(
-                f'<polyline points="{coords}" fill="none" stroke="gray" '
-                f'stroke-width="1" stroke-dasharray="3,3"/>'
-            )
-        for tx, ty in pts:
-            canvas.add(
-                f'<circle cx="{canvas.x(tx):.2f}" cy="{canvas.y(ty):.2f}" '
-                f'r="2.5" fill="steelblue" fill-opacity="0.7"/>'
-            )
-        svg = _render(
-            canvas,
-            "Worm plot of quantile residuals",
-            "Theoretical quantile",
-            "Deviation",
-        )
+    py = canvas.y(pts[:, 1]).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+            f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
+            f'fill="white"/>\n'
+        )
+        fh.writelines(f"{element}\n" for element in elements)
+        fh.writelines(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" '
+            f'r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'
+            for x, y in zip(px, py)
+        )
+        fh.write("</svg>\n")

@@ -286,6 +286,25 @@ class TestPredictCommand:
         assert err.startswith("error: ")
         assert str(model) in err and message in err
 
+    @pytest.mark.parametrize("schema, message", [
+        ({}, "model schema without a response name"),
+        ({"response": "Foliage", "mu_terms": ["Origin"], "sigma_terms": [],
+          "columns": [{"name": "Origin", "kind": "categorical"}]},
+         "categorical column 'Origin' has no levels"),
+    ])
+    def test_malformed_model_schema(self, model_path, tmp_path, lime_path,
+                                    capsys, schema, message):
+        doc = json.loads(model_path.read_text())
+        doc["schema"] = schema
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["predict", "--model", str(model),
+                     "--data", str(lime_path), "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(model) in err and message in err
+
     def test_unknown_level_named(self, model_path, tmp_path, capsys):
         csv = tmp_path / "new.csv"
         csv.write_text("Age,Origin\n25,Grafted\n", encoding="utf-8")

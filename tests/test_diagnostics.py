@@ -17,6 +17,7 @@ from tiltreg import (
     render_svg,
     worm_plot_data,
 )
+from tiltreg.diagnostics import _Canvas, _pad_limits
 from tests.conftest import simulate_intercept_only
 
 
@@ -221,6 +222,36 @@ class TestReportAndRendering:
         root = ET.parse(path).getroot()
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
+
+    def test_coordinates_match_per_point_map(self, tmp_path):
+        report = build_report(np.random.default_rng(13).standard_t(5, size=3000))
+        qq, worm, bands = report.qq_points, report.worm_points, report.bands
+        limits = {
+            "qq": (_pad_limits(qq[:, 0]),
+                   _pad_limits(np.concatenate([qq[:, 1], qq[:, 0]]))),
+            "worm": (_pad_limits(worm[:, 0]),
+                     _pad_limits(np.concatenate([worm[:, 1], bands[:, 0],
+                                                 bands[:, 1]]))),
+        }
+        for kind, pts in (("qq", qq), ("worm", worm)):
+            canvas = _Canvas(*limits[kind])
+            path = tmp_path / f"{kind}.svg"
+            render_svg(report, kind, path)
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("</svg>\n")
+            root = ET.fromstring(text)
+            circles = [e for e in root.iter() if e.tag.endswith("circle")]
+            assert len(circles) == 3000
+            for e, (tx, ty) in zip(circles, pts.tolist()):
+                assert e.get("cx") == f"{canvas.x(tx):.2f}"
+                assert e.get("cy") == f"{canvas.y(ty):.2f}"
+            polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
+            for e, col in zip(polylines, (0, 1)):
+                assert e.get("points") == " ".join(
+                    f"{canvas.x(tx):.2f},{canvas.y(b):.2f}"
+                    for tx, b in zip(pts[:, 0].tolist(), bands[:, col].tolist())
+                )
+            assert len(polylines) == (2 if kind == "worm" else 0)
 
     def test_invalid_kind(self, report, tmp_path):
         with pytest.raises(ValueError):

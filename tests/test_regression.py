@@ -15,7 +15,8 @@ from tiltreg import (
     predict_median,
     wald_test,
 )
-from tiltreg.exponential import median_tilted_logpdf
+from tiltreg.exponential import median_tilted_logpdf, median_tilted_score
+from tiltreg.regression import _BLOCK
 from tests.conftest import simulate_intercept_only
 
 
@@ -161,6 +162,55 @@ class TestLogLikelihood:
         )
         theta = np.array([0.6, -0.4])
         assert log_likelihood(spec, theta) == log_likelihood(shuffled, theta)
+
+
+def unblocked_loglik_and_score(spec, theta):
+    """log_likelihood and loglik_gradient as whole-array expressions."""
+    alpha, gamma = spec.split(theta)
+    with np.errstate(all="ignore"):
+        mu = np.exp(spec.mu_design @ alpha)
+        sigma = np.exp(spec.sigma_design @ gamma)
+        terms = median_tilted_logpdf(spec.response, mu, sigma)
+        d_mu, d_sigma = median_tilted_score(spec.response, mu, sigma)
+        mu_terms = spec.mu_design * (d_mu * mu)[:, None]
+        sigma_terms = spec.sigma_design * (d_sigma * sigma)[:, None]
+    ll = math.fsum(terms.tolist()) if np.all(np.isfinite(terms)) else -math.inf
+    score = [math.fsum(col.tolist()) for col in np.hstack([mu_terms, sigma_terms]).T]
+    return ll, np.array(score)
+
+
+class TestRowBlocks:
+    """Specs longer than one row block reproduce the unblocked values."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        n = 3 * _BLOCK + 17
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(n, 3))
+        return ModelSpec(
+            response=MedianTiltedExponential(2.0, 0.7).sample(n, seed=9),
+            mu_design=np.column_stack([np.ones(n), x[:, 0], x[:, 1]]),
+            sigma_design=np.column_stack([np.ones(n), x[:, 2]]),
+        )
+
+    @pytest.mark.parametrize("theta", [
+        [0.7, 0.0, 0.0, -0.4, 0.0],
+        [0.5, 0.3, -0.2, -0.3, 0.2],
+        [1.2, -0.8, 0.5, 0.6, -0.9],
+        [0.7, 0.0, 0.0, 800.0, 0.0],
+    ])
+    def test_bit_identical_to_unblocked(self, spec, theta):
+        theta = np.array(theta)
+        ll, score = unblocked_loglik_and_score(spec, theta)
+        perm = np.random.default_rng(5).permutation(spec.n_obs)
+        shuffled = ModelSpec(
+            response=spec.response[perm],
+            mu_design=spec.mu_design[perm],
+            sigma_design=spec.sigma_design[perm],
+        )
+        for s in (spec, shuffled):
+            assert log_likelihood(s, theta) == ll
+            assert np.array_equal(loglik_gradient(s, theta), score, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
