@@ -1,9 +1,10 @@
 """Baseline distributions on the positive half-line.
 
 The tilted family in :mod:`tiltreg.family` is generic over a baseline
-distribution that supplies a CDF ``G``, a density ``g``, a quantile function
-and the log-survival pair ``log(1 - G)`` and its inverse, all on the support
-``(0, inf)``.  Baselines with any other support are not admitted.
+distribution that supplies a density ``g`` and the log-survival pair
+``log(1 - G)`` and its inverse, all on the support ``(0, inf)``; the CDF ``G``
+and the quantile function follow from the pair.  Baselines with any other
+support are not admitted.
 """
 
 from __future__ import annotations
@@ -38,27 +39,19 @@ def _scalar_like(result, reference):
 class BaselineDistribution(ABC):
     """Continuous distribution on (0, inf) usable as a tilt baseline.
 
-    A baseline provides six methods: ``cdf``, ``pdf``, ``quantile``,
-    ``log_sf``, ``quantile_from_log_sf`` and ``log_pdf``.  The first five are
-    abstract; ``log_pdf`` defaults to ``log(pdf)``.  The log-survival pair is
-    required because the tilted tails are computed in log space, and no
-    generic form derived from ``cdf`` stays accurate once G rounds to 1.
+    A baseline defines three methods: ``pdf``, ``log_sf`` and
+    ``quantile_from_log_sf``.  ``cdf`` and ``quantile`` are derived from the
+    log-survival pair, and ``log_pdf`` defaults to ``log(pdf)``.  The pair is
+    the primitive because the tilted tails are computed in log space, and no
+    form derived from a CDF stays accurate once G rounds to 1.
 
     All operations are pure functions of immutable parameters and accept
     scalars or NumPy arrays.
     """
 
     @abstractmethod
-    def cdf(self, x):
-        """G(x) for x > 0."""
-
-    @abstractmethod
     def pdf(self, x):
         """g(x) = G'(x) for x > 0."""
-
-    @abstractmethod
-    def quantile(self, p):
-        """Inverse CDF for p in (0, 1)."""
 
     @abstractmethod
     def log_sf(self, x):
@@ -67,6 +60,15 @@ class BaselineDistribution(ABC):
     @abstractmethod
     def quantile_from_log_sf(self, log_s):
         """x with log(1 - G(x)) = log_s, for log_s < 0."""
+
+    def cdf(self, x):
+        """G(x) = -expm1(log(1 - G(x)))."""
+        return _scalar_like(-np.expm1(self.log_sf(x)), x)
+
+    def quantile(self, p):
+        """Inverse CDF for p in (0, 1): the x whose log-survival is log1p(-p)."""
+        p = _require_probability(p)
+        return _scalar_like(self.quantile_from_log_sf(np.log1p(-p)), p)
 
     def log_pdf(self, x):
         with np.errstate(divide="ignore"):
@@ -77,8 +79,8 @@ class BaselineDistribution(ABC):
 class ExponentialBaseline(BaselineDistribution):
     """Exponential distribution with rate ``rate`` per unit of x.
 
-    cdf(x) = 1 - exp(-rate*x), pdf(x) = rate*exp(-rate*x),
-    quantile(p) = -log(1-p)/rate.
+    log(1 - G(x)) = -rate*x and pdf(x) = rate*exp(-rate*x), so the derived
+    cdf(x) = -expm1(-rate*x) and quantile(p) = -log1p(-p)/rate.
     """
 
     rate: float
@@ -87,17 +89,9 @@ class ExponentialBaseline(BaselineDistribution):
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValueError("rate must be a positive finite number")
 
-    def cdf(self, x):
-        x = _require_positive(x, "x")
-        return _scalar_like(-np.expm1(-self.rate * x), x)
-
     def pdf(self, x):
         x = _require_positive(x, "x")
         return _scalar_like(self.rate * np.exp(-self.rate * x), x)
-
-    def quantile(self, p):
-        p = _require_probability(p)
-        return _scalar_like(-np.log1p(-p) / self.rate, p)
 
     def log_pdf(self, x):
         x = _require_positive(x, "x")

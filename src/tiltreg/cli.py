@@ -61,8 +61,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--tol", type=float, default=1e-6,
                        help="gradient max-norm tolerance")
-    p_fit.add_argument("--seed", type=int, default=None,
-                       help="unused by fitting, which is deterministic")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="fitted medians for new data")

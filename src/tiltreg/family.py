@@ -44,6 +44,8 @@ from .errors import NumericalError
 _ROOT_MAX_ITER = 200
 _SOLVE_BLOCK = 16384
 _LOG2 = float(np.log(2.0))
+# Below this log p the solve's residual takes the ratio form log(y/p).
+_DEEP_LOG_P = -40.0
 
 # Quadrature targets for the moment operations.
 _QUAD_ABS_TOL = 1e-10
@@ -66,18 +68,26 @@ def _log1mexp(x):
         return np.where(x > _LOG2, np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
 
 
-def _aux_log_cdf_s(s, beta):
-    # log of the auxiliary CDF at y = 1 - e^-s, and the reciprocal of its
-    # derivative 1/expm1(s) + beta*e^(-beta s), finite for every s > 0
+def _aux_residual(s, beta, log_p, p):
+    # g(s) = log(y) - e^(-beta s) - log p at y = 1 - e^-s, and 1/g'(s) with
+    # g' = 1/expm1(s) + beta*e^(-beta s), finite for every s > 0.  Where
+    # log p < -40, log(y) - log p would lose eps*|log p| to cancellation, so
+    # g is taken as log(y/p) - e^(-beta s) there; p is None when no element
+    # is that deep.
     e, y, w = np.exp(-s), -np.expm1(-s), np.exp(-beta * s)
-    return _log1mexp(s) - w, y / (e + beta * w * y)
+    g = _log1mexp(s) - w - log_p
+    if p is not None:
+        deep = log_p < _DEEP_LOG_P
+        g[deep] = np.log(y[deep] / p[deep]) - w[deep]
+    return g, y / (e + beta * w * y)
 
 
 def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
     """s = -log(1-q) for the auxiliary quantile q, elementwise.
 
     Newton on the increasing, concave g(s) = log(1-e^-s) - e^(-beta s) - log p
-    from -log(t)/beta, t = -log p, inside the bracket s_lo = -log1p(-p),
+    (in ratio form where log p < -40, see ``_aux_residual``) from
+    -log(t)/beta, t = -log p, inside the bracket s_lo = -log1p(-p),
     s_hi = max(s_lo, -log(1-e^(-t/2)), -log(t/2)/beta), narrowed by the sign
     of g; an iterate not strictly inside it is replaced by the midpoint.  An
     element stops once its step or bracket is within 4 ulp of s; only
@@ -88,18 +98,20 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
         s = [_aux_log_sf_solve(beta, p.flat[i:i + _SOLVE_BLOCK])
              for i in range(0, p.size, _SOLVE_BLOCK)]
         return np.concatenate(s).reshape(p.shape)
-    log_p = np.log(p).ravel()
-    a = -np.log1p(-p).ravel()
+    shape = p.shape
+    p = p.ravel()
+    log_p = np.log(p)
+    a = -np.log1p(-p)
     b = np.maximum(a, np.maximum(-_log1mexp(-0.5 * log_p),
                                  -np.log(-0.5 * log_p) / beta))
     s = np.clip(-np.log(-log_p) / beta, a, b)
+    p = p if (log_p < _DEEP_LOG_P).any() else None
     out = np.empty_like(a)
     todo = np.arange(a.size)
     for _ in range(_ROOT_MAX_ITER):
         if todo.size == 0:
-            return out.reshape(p.shape)
-        g, inv_slope = _aux_log_cdf_s(s, beta)
-        g -= log_p
+            return out.reshape(shape)
+        g, inv_slope = _aux_residual(s, beta, log_p, p)
         step = g * inv_slope
         below = g < 0
         np.copyto(a, s, where=below)
@@ -111,6 +123,7 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
             out[todo[done]] = np.clip(s[done], a[done], b[done])
             keep = np.flatnonzero(~done)
             todo, s, a, b, log_p = (v.take(keep) for v in (todo, s, a, b, log_p))
+            p = None if p is None else p.take(keep)
         s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
     raise NumericalError(f"auxiliary quantile solve did not converge within "
                          f"{_ROOT_MAX_ITER} iterations ({todo.size} elements left)")
@@ -129,7 +142,7 @@ class TiltedDistribution:
             raise TypeError("baseline must be a BaselineDistribution")
         # support must be (0, inf): a baseline putting mass at or below zero
         # has a non-positive lower quantile
-        if not float(self.baseline.quantile(1e-12)) > 0.0:
+        if not float(self.baseline.quantile_from_log_sf(np.log1p(-1e-12))) > 0.0:
             raise ValueError(
                 "baseline support must be contained in (0, inf)"
             )
@@ -137,11 +150,11 @@ class TiltedDistribution:
     # -- distribution functions ----------------------------------------
 
     def cdf(self, x):
-        """F(x) = G(x) * exp(-(1-G(x))^beta)."""
+        """F(x) = G(x) * exp(-Gbar(x)^beta), G = -expm1(log Gbar)."""
         x = _require_positive(x, "x")
-        G = np.asarray(self.baseline.cdf(x), dtype=float)
-        log_sf = np.asarray(self.baseline.log_sf(x), dtype=float)
-        return _scalar_like(G * np.exp(-np.exp(self.beta * log_sf)), x)
+        log_gbar = np.asarray(self.baseline.log_sf(x), dtype=float)
+        G = -np.expm1(log_gbar)
+        return _scalar_like(G * np.exp(-np.exp(self.beta * log_gbar)), x)
 
     def sf(self, t):
         """Survival 1 - F(t) = -expm1(log G - Gbar^beta), log G = log1p(-Gbar).
@@ -166,14 +179,14 @@ class TiltedDistribution:
         """log f = log g + log(1 + beta*G*Gbar^(beta-1)) - Gbar^beta.
 
         The bracket is a logaddexp of log-space terms, so ``Gbar**(beta-1)``,
-        which explodes for beta < 1 while f decays, is never formed; log G
-        comes from the baseline CDF, which stays accurate at small x.
+        which explodes for beta < 1 while f decays, is never formed; log G is
+        log(-expm1(log Gbar)), which stays accurate at small x.
         """
         x = _require_positive(x, "x")
         log_g = np.asarray(self.baseline.log_pdf(x), dtype=float)
         log_gbar = np.asarray(self.baseline.log_sf(x), dtype=float)
         with np.errstate(divide="ignore"):
-            log_G = np.log(np.asarray(self.baseline.cdf(x), dtype=float))
+            log_G = np.log(-np.expm1(log_gbar))
         bump = np.log(self.beta) + log_G + (self.beta - 1.0) * log_gbar
         return _scalar_like(
             log_g + np.logaddexp(0.0, bump) - np.exp(self.beta * log_gbar), x
@@ -208,36 +221,31 @@ class TiltedDistribution:
         rng = np.random.default_rng(seed)
         u = rng.uniform(size=n)
         u[u == 0.0] = 1e-300  # keep inside the quantile domain
-        s = _aux_log_sf_solve(self.beta, u)
-        return np.asarray(self.baseline.quantile_from_log_sf(-s), dtype=float)
+        return self.quantile(u)
 
     # -- mode ------------------------------------------------------------
 
     def mode(self) -> float | None:
         """Interior mode, or None when no interior critical point exists.
 
-        Scans 256 subintervals of [quantile(0.001), quantile(0.999)] for a
-        sign change of d/dx log f (central differences), then polishes the
-        bracketing interval with Brent's method.  A root only qualifies when
-        the derivative passes from positive to negative, i.e. the point is a
-        local maximum.  With several qualifying roots the one with the largest
-        density wins.
+        Evaluates d/dx log f (central differences) at the 257 points of an
+        even grid on [quantile(0.001), quantile(0.999)] in two array
+        ``log_pdf`` calls, then polishes each subinterval where the slope
+        passes from positive to negative (a local maximum) with Brent's
+        method on the same slope function.  With several qualifying roots the
+        one with the largest density wins.
         """
         lo = float(self.quantile(0.001))
         hi = float(self.quantile(0.999))
 
-        def slope(x: float) -> float:
-            h = 1e-6 * max(1.0, abs(x))
-            h = min(h, 0.5 * x)
-            return float((self.log_pdf(x + h) - self.log_pdf(x - h)) / (2 * h))
+        def slope(x):
+            h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * x)
+            return (self.log_pdf(x + h) - self.log_pdf(x - h)) / (2 * h)
 
         xs = np.linspace(lo, hi, _MODE_GRID + 1)
-        ss = np.array([slope(float(x)) for x in xs])
-        candidates = []
-        for i in range(_MODE_GRID):
-            if ss[i] > 0.0 and ss[i + 1] < 0.0:
-                root = brentq(slope, xs[i], xs[i + 1], xtol=1e-12)
-                candidates.append(float(root))
+        ss = slope(xs)
+        rising = np.flatnonzero((ss[:-1] > 0.0) & (ss[1:] < 0.0))
+        candidates = [float(brentq(slope, xs[i], xs[i + 1], xtol=1e-12)) for i in rising]
         if not candidates:
             return None
         return max(candidates, key=lambda x: float(self.pdf(x)))
@@ -271,28 +279,22 @@ class TiltedDistribution:
         raise NumericalError("survival tail did not fall below the cutoff")
 
     def truncated_moment(self, p: float, lower: float, upper: float) -> float:
-        """E[X^p; lower < X < upper] via the survival-function identity."""
+        """E[X^p; lower < X < upper] via the survival-function identity.
+
+        An infinite ``upper`` is cut at the first doubling of max(1, 2*lower)
+        where S < 1e-14, and its head term delta^p S(delta) is dropped.
+        """
         if not p > 0:
             raise ValueError("moment order p must be positive")
         if not (lower >= 0 and upper > lower):
             raise ValueError("need 0 <= lower < upper")
+        head = lower**p * (1.0 if lower == 0.0 else float(self.sf(lower)))
         if np.isinf(upper):
-            return self.upper_moment(p, lower)
-        s_lo = 1.0 if lower == 0.0 else float(self.sf(lower))
-        s_hi = float(self.sf(upper))
-        head = lower**p * s_lo - upper**p * s_hi
+            upper = self._tail_cutoff(lower)
+        else:
+            head -= upper**p * float(self.sf(upper))
         return head + p * self._sf_quad(p, lower, upper)
 
-    def upper_moment(self, p: float, lower: float) -> float:
-        """E[X^p; X > lower]; the infinite tail is cut where S < 1e-14."""
-        if not p > 0:
-            raise ValueError("moment order p must be positive")
-        if lower < 0:
-            raise ValueError("lower must be nonnegative")
-        cutoff = self._tail_cutoff(lower)
-        s_lo = 1.0 if lower == 0.0 else float(self.sf(lower))
-        return lower**p * s_lo + p * self._sf_quad(p, lower, cutoff)
-
     def moment(self, p: float) -> float:
-        """Raw moment E[X^p]."""
-        return self.upper_moment(p, 0.0)
+        """Raw moment E[X^p] = truncated_moment(p, 0, inf)."""
+        return self.truncated_moment(p, 0.0, np.inf)

@@ -123,7 +123,7 @@ class TestWeibullTilt:
         p = 1.0 - 1e-12
         assert self.d.cdf(self.d.quantile(p)) == pytest.approx(p, abs=1e-12)
 
-    @pytest.mark.parametrize("missing", ["log_sf", "quantile_from_log_sf"])
+    @pytest.mark.parametrize("missing", ["pdf", "log_sf", "quantile_from_log_sf"])
     def test_log_survival_pair_is_required(self, missing):
         # the Weibull without one method: its abstract declaration shows through
         incomplete = type("_Incomplete", (_Weibull,),
@@ -143,3 +143,47 @@ def test_log_forms_agree_with_plain_forms():
     x = np.array([0.1, 1.0, 4.0])
     assert np.allclose(np.exp(b.log_pdf(x)), b.pdf(x), rtol=1e-13)
     assert np.allclose(np.exp(b.log_sf(x)), 1.0 - b.cdf(x), rtol=1e-12)
+
+
+class _PairOnlyExponential(BaselineDistribution):
+    """Exponential baseline defining only the three required methods."""
+
+    def __init__(self, rate: float):
+        self.rate = rate
+
+    def pdf(self, x):
+        return ExponentialBaseline(self.rate).pdf(x)
+
+    def log_sf(self, x):
+        return ExponentialBaseline(self.rate).log_sf(x)
+
+    def quantile_from_log_sf(self, log_s):
+        return ExponentialBaseline(self.rate).quantile_from_log_sf(log_s)
+
+
+class _PairAndLogPdfExponential(_PairOnlyExponential):
+    """The same, plus the exponential's closed-form log_pdf override."""
+
+    def log_pdf(self, x):
+        return ExponentialBaseline(self.rate).log_pdf(x)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 8.0])
+@pytest.mark.parametrize("rate", [0.37, 1.0, 5.0])
+def test_three_methods_reproduce_the_exponential_bitwise(rate, beta):
+    # the derived cdf/quantile give the exponential's closed-form bits, and so
+    # does every tilted quantity; pdf and mode read log_pdf, whose log(pdf)
+    # default differs from the closed form in the last bits
+    mine, ref = _PairOnlyExponential(rate), ExponentialBaseline(rate)
+    x = np.geomspace(1e-6, 60.0, 200)
+    p = np.linspace(0.01, 0.99, 50)
+    for f, arg in (("cdf", x), ("cdf", 0.7), ("quantile", p), ("quantile", 0.3)):
+        assert np.array_equal(getattr(mine, f)(arg), getattr(ref, f)(arg)), f
+    a, b = TiltedDistribution(mine, beta), TiltedDistribution(ref, beta)
+    for f, arg in (("cdf", x), ("sf", x), ("quantile", p), ("cdf", 0.7)):
+        assert np.array_equal(getattr(a, f)(arg), getattr(b, f)(arg)), f
+    assert a.moment(2.0) == b.moment(2.0)
+    assert np.allclose(a.pdf(x), b.pdf(x), rtol=1e-12, atol=0.0)
+    c = TiltedDistribution(_PairAndLogPdfExponential(rate), beta)
+    assert np.array_equal(c.pdf(x), b.pdf(x))
+    assert c.mode() == b.mode()

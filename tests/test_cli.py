@@ -194,17 +194,16 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert "dropped 1 row" in captured.err
 
-    def test_seed_does_not_affect_fit(self, tmp_path, lime_path, capsys):
-        outs = []
-        for seed in ("1", "999"):
-            out = tmp_path / f"m{seed}.json"
-            assert main([
-                "fit", "--data", str(lime_path), "--response", "Foliage",
-                "--mu", "Age", "Origin", "--out", str(out), "--seed", seed,
-            ]) == 0
-            outs.append(out.read_bytes())
-        capsys.readouterr()
-        assert outs[0] == outs[1]
+    def test_seed_is_a_usage_error(self, tmp_path, lime_path, capsys):
+        # fitting is deterministic, so fit takes no --seed
+        out = tmp_path / "m.json"
+        assert main([
+            "fit", "--data", str(lime_path), "--response", "Foliage",
+            "--mu", "Age", "Origin", "--out", str(out), "--seed", "1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--seed" in err
+        assert not out.exists()
 
     def test_missing_column_exit_code(self, tmp_path, lime_path, capsys):
         code = main([

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from tiltreg import (
     BaselineDistribution,
@@ -252,6 +253,22 @@ def log_aux_cdf(s, beta):
     return log_y - math.exp(-beta * s)
 
 
+def aux_log_sf_oracle(beta, p):
+    """s with (1 - e^-s) * exp(-e^(-beta s)) = p, by 60-digit bisection."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        log_p = mpmath.log(mpmath.mpf(p))
+        # y = p * exp(e^(-beta s)) lies in (p, e*p), so s lies in (p, 4p)
+        lo, hi = mpmath.mpf(p), 4 * mpmath.mpf(p)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if mpmath.log(-mpmath.expm1(-mid)) - mpmath.exp(-beta * mid) < log_p:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
 class TestAuxiliarySolve:
     def test_array_solve_equals_scalar_solves_bitwise(self, monkeypatch):
         # several blocks and a shrinking active set must not couple elements
@@ -280,6 +297,14 @@ class TestAuxiliarySolve:
             return
         s = family._aux_log_sf_solve(beta, np.array([lo, hi]))
         assert s[0] <= s[1]
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("p", [1e-20, 1e-50, 1e-100, 1e-200, 1e-300])
+    def test_deep_lower_tail_within_4_ulp_of_oracle(self, beta, p):
+        # at rate 1 the quantile is s itself
+        s = tilted(1.0, beta).quantile(p)
+        exact = aux_log_sf_oracle(beta, p)
+        assert abs(s - exact) <= 4 * math.ulp(exact), (s - exact) / math.ulp(exact)
 
     def test_exhausted_budget_raises(self, monkeypatch):
         monkeypatch.setattr(family, "_ROOT_MAX_ITER", 1)
@@ -368,6 +393,19 @@ class TestSampling:
 # mode
 # ---------------------------------------------------------------------------
 
+def scalar_scan_mode(d):
+    """The mode scan with one scalar log_pdf call per grid point and side."""
+    def slope(x):
+        h = min(1e-6 * max(1.0, abs(x)), 0.5 * x)
+        return float((d.log_pdf(x + h) - d.log_pdf(x - h)) / (2 * h))
+
+    xs = np.linspace(float(d.quantile(0.001)), float(d.quantile(0.999)), 257)
+    ss = [slope(float(x)) for x in xs]
+    roots = [float(brentq(slope, xs[i], xs[i + 1], xtol=1e-12))
+             for i in range(256) if ss[i] > 0.0 and ss[i + 1] < 0.0]
+    return max(roots, key=lambda x: float(d.pdf(x))) if roots else None
+
+
 class TestMode:
     def test_exists_for_beta_three(self):
         assert tilted(1.0, 3.0).mode() is not None
@@ -387,6 +425,12 @@ class TestMode:
 
     def test_no_interior_critical_point(self):
         assert tilted(1.0, 0.5).mode() is None
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 8.0, 20.0])
+    @pytest.mark.parametrize("lam", [0.37, 1.0, 5.0])
+    def test_array_scan_equals_scalar_scan_bitwise(self, beta, lam):
+        d = tilted(lam, beta)
+        assert d.mode() == scalar_scan_mode(d)
 
     def test_unimodal_for_beta_at_least_two(self):
         for beta in (2.0, 3.0, 5.0):
@@ -426,12 +470,13 @@ class TestMoments:
     def test_additivity(self):
         d = tilted(1.0, 2.0)
         p = 2.0
-        total = d.truncated_moment(p, 0.5, 3.0) + d.upper_moment(p, 3.0)
-        assert total == pytest.approx(d.upper_moment(p, 0.5), abs=1e-8)
+        total = d.truncated_moment(p, 0.5, 3.0) + d.truncated_moment(p, 3.0, math.inf)
+        assert total == pytest.approx(d.truncated_moment(p, 0.5, math.inf), abs=1e-8)
 
     def test_upper_with_zero_cut_equals_raw_moment(self):
         d = tilted(1.0, 1.0)
-        assert d.upper_moment(1.5, 0.0) == pytest.approx(d.moment(1.5), abs=1e-12)
+        upper = d.truncated_moment(1.5, 0.0, math.inf)
+        assert upper == pytest.approx(d.moment(1.5), abs=1e-12)
 
     def test_jensen_ordering(self):
         d = tilted(1.0, 2.0)
@@ -446,13 +491,13 @@ class TestMoments:
     def test_upper_moment_against_density_quadrature(self):
         d = tilted(1.0, 2.0)
         lhs = density_moment(d, 2.0, 1.0, np.inf)
-        assert d.upper_moment(2.0, 1.0) == pytest.approx(lhs, rel=1e-6)
+        assert d.truncated_moment(2.0, 1.0, math.inf) == pytest.approx(lhs, rel=1e-6)
 
     def test_upper_moment_against_monte_carlo(self):
         d = tilted(1.0, 2.0)
         x = d.sample(10**6, seed=808)
         mc = float(np.mean(np.where(x > 1.0, x**2, 0.0)))
-        assert d.upper_moment(2.0, 1.0) == pytest.approx(mc, rel=0.02)
+        assert d.truncated_moment(2.0, 1.0, math.inf) == pytest.approx(mc, rel=0.02)
 
     def test_validation(self):
         d = tilted()
@@ -461,7 +506,7 @@ class TestMoments:
         with pytest.raises(ValueError):
             d.truncated_moment(1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
-            d.upper_moment(1.0, -0.5)
+            d.truncated_moment(1.0, -0.5, math.inf)
 
 
 # ---------------------------------------------------------------------------
