@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from tiltreg import (
+    ExponentialBaseline,
     ModelConfig,
     SpecificationError,
+    TiltedDistribution,
     build_design,
     ingest_csv,
 )
@@ -412,10 +414,23 @@ class TestDistCommand:
         assert capsys.readouterr().out.strip() == "0.7389398716"
 
     def test_moment_matches_quadrature_oracle(self, capsys):
+        # E[X] at beta = lambda = 1 from the series for E[S] (tests/test_family.py)
+        exact = 1.4287201581256108
         assert main(["dist", "moment", "--p", "1", "--beta", "1",
                      "--lambda", "1"]) == 0
-        printed = float(capsys.readouterr().out.strip())
-        assert printed == pytest.approx(1.428720158125611, rel=1e-8)
+        assert capsys.readouterr().out.strip() == f"{exact:.10g}"
+        d = TiltedDistribution(ExponentialBaseline(1.0), 1.0)
+        assert d.moment(1.0) == pytest.approx(exact, rel=1e-13)
+
+    def test_moment_order_edge_cases(self, capsys):
+        args = ["dist", "moment", "--beta", "1", "--lambda", "1", "--p"]
+        assert main(args + ["inf"]) == 1
+        assert "moment order" in capsys.readouterr().err
+        # E[X^400] ~ 400! overflows: an explicit numerical error, no traceback
+        assert main(args + ["400"]) == 2
+        assert capsys.readouterr().err.startswith("numerical error: ")
+        assert main(args + ["1e-300"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
 
     def test_ten_significant_digits(self, capsys):
         assert main(["dist", "pdf", "--beta", "2", "--lambda", "1",

@@ -504,9 +504,110 @@ class TestMoments:
         with pytest.raises(ValueError):
             d.truncated_moment(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
+            d.truncated_moment(math.inf, 0.0, 1.0)
+        with pytest.raises(ValueError):
             d.truncated_moment(1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             d.truncated_moment(1.0, -0.5, math.inf)
+
+
+def aux_moment_series(beta, q):
+    """E[S^q] for S = -log(1 - Y), Y the auxiliary variable, at 40 digits.
+
+    P(S > s) = e^-s - sum_{k>=1} (-1)^k/k! (e^(-beta k s) - e^(-(beta k+1) s)),
+    so E[S^q] = Gamma(q+1) [1 - sum_k (-1)^k/k! ((beta k)^-q - (beta k+1)^-q)].
+    The terms fall like 1/k!, so 80 of them leave nothing at this precision.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b, q = mpmath.mpf(beta), mpmath.mpf(q)
+        tail = mpmath.fsum((-1) ** k / mpmath.factorial(k)
+                           * ((b * k) ** -q - (b * k + 1) ** -q)
+                           for k in range(1, 80))
+        return mpmath.gamma(q + 1) * (1 - tail)
+
+
+def aux_moment_quad(x_of_s, beta, p, s_a, s_b):
+    """60-digit quadrature of x(s)^p h(s) over (s_a, s_b), h the density of S."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b, s_a, s_b = mpmath.mpf(beta), mpmath.mpf(s_a), mpmath.mpf(s_b)
+
+        def integrand(s):
+            e_b = mpmath.exp(-b * s)
+            return x_of_s(s) ** p * mpmath.exp(-e_b) * (
+                mpmath.exp(-s) - b * mpmath.expm1(-s) * e_b)
+
+        cuts = [s_a + c / min(1, b) for c in (0.1, 1, 10, 100)]
+        return mpmath.quad(integrand, [s_a, *[c for c in cuts if c < s_b], s_b])
+
+
+class _LogLogistic(BaselineDistribution):
+    """Log-logistic with shape k and scale c: Gbar(x) = 1/(1 + (x/c)^k)."""
+
+    def __init__(self, shape: float, scale: float):
+        self.shape, self.scale = shape, scale
+
+    def pdf(self, x):
+        z = (np.asarray(x, dtype=float) / self.scale) ** self.shape
+        return self.shape / np.asarray(x, dtype=float) * z / (1.0 + z) ** 2
+
+    def log_sf(self, x):
+        return -np.log1p((np.asarray(x, dtype=float) / self.scale) ** self.shape)
+
+    def quantile_from_log_sf(self, log_s):
+        # c * expm1(s)^(1/k), s = -log_s, written so it overflows only with x
+        s = -np.asarray(log_s, dtype=float)
+        k = self.shape
+        return self.scale * np.exp(s / k) * (-np.expm1(-s)) ** (1.0 / k)
+
+
+class TestMomentOracles:
+    """The moment rule against the series for E[S^q] and 60-digit quadrature."""
+
+    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 0.3, 1, 2, 8, 50, 500])
+    def test_exponential_raw_moments_match_the_series(self, beta):
+        # x(s) = s / lambda, so E[X^p] = E[S^p] / lambda^p; s^20 h peaks near
+        # s = 20/min(1, beta), beyond the bulk of h
+        for lam in (0.37, 1.0, 5.0):
+            for p in (0.5, 1.0, 2.0, 3.7, 20.0):
+                exact = float(aux_moment_series(beta, p) / lam**p)
+                assert tilted(lam, beta).moment(p) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [0.7, 1.5, 3.0])
+    def test_weibull_raw_moments_match_the_series(self, shape):
+        from tests.test_baseline import _Weibull
+
+        # x(s) = c s^(1/k), so E[X^p] = c^p E[S^(p/k)]
+        for beta in (0.3, 1.0, 8.0):
+            d = TiltedDistribution(_Weibull(shape, 2.0), beta)
+            for p in (0.5, 2.0, 3.7):
+                exact = float(2.0**p * aux_moment_series(beta, p / shape))
+                assert d.moment(p) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 50.0])
+    @pytest.mark.parametrize("window", [(1e-9, 1e-6), (0.0, 2.0), (0.5, 3.0),
+                                        (3.0, 40.0), (1.0, math.inf), (3.0, 1e5)])
+    def test_exponential_truncated_moments_match_quadrature(self, beta, window):
+        # (3, 1e5) is 37000 long in s: the tail beyond 3 less that beyond 1e5
+        lam, (lo, hi) = 0.37, window
+        exact = aux_moment_quad(lambda s: s / lam, beta, 3.7, lam * lo, lam * hi)
+        assert tilted(lam, beta).truncated_moment(3.7, lo, hi) == pytest.approx(
+            float(exact), rel=1e-13)
+
+    def test_log_logistic_moment_exists_below_its_shape(self):
+        # Gbar ~ x^-2 and beta = 1, so E[X^p] is finite iff p < 2
+        mpmath = pytest.importorskip("mpmath")
+        d = TiltedDistribution(_LogLogistic(2.0, 1.0), 1.0)
+
+        def x_of_s(s):  # expm1(s)^(1/2)
+            return mpmath.exp(s / 2) * mpmath.sqrt(-mpmath.expm1(-s))
+
+        exact = aux_moment_quad(x_of_s, 1.0, 1.5, 0.0, mpmath.inf)
+        assert d.moment(1.5) == pytest.approx(float(exact), rel=1e-13)
+        for p in (2.0, 2.5):
+            with pytest.raises(NumericalError):
+                d.moment(p)
 
 
 # ---------------------------------------------------------------------------
