@@ -33,12 +33,14 @@ def run(data: str, outdir: str) -> int:
     if code != 0:
         return code
 
-    cli_main([
+    code = cli_main([
         "residuals",
         "--model", str(model_path),
         "--data", data,
         "--out", str(out / "lime_residuals.csv"),
     ])
+    if code != 0:
+        return code
 
     import json
 

@@ -20,10 +20,11 @@ from . import __version__
 from .baseline import ExponentialBaseline
 from .data import (
     ModelConfig,
+    _check_schema,
     build_design,
+    design_matrices,
     design_schema,
     ingest_csv,
-    prediction_designs,
     table_from_schema,
 )
 from .diagnostics import build_report, quantile_residuals, render_svg
@@ -158,42 +159,13 @@ def _write_lines(path, header: str, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _check_schema(path, schema) -> dict:
-    """Return ``schema`` if it has the layout ``design_schema`` writes.
-
-    Otherwise raise SpecificationError naming the file and the first entry
-    that is missing or of the wrong type.
-    """
-    def bad(what: str) -> SpecificationError:
-        return SpecificationError(f"{path} has a model schema {what}")
-
-    if not isinstance(schema, dict):
-        raise bad("that is not an object")
-    if not isinstance(schema.get("response"), str):
-        raise bad("without a response name")
-    for key in ("mu_terms", "sigma_terms"):
-        if not _is_names(schema.get(key)):
-            raise bad(f"whose {key!r} is not a list of names")
-    columns = schema.get("columns")
-    if not isinstance(columns, list):
-        raise bad("without a 'columns' list")
-    for column in columns:
-        if not (isinstance(column, dict) and isinstance(column.get("name"), str)):
-            raise bad("with a column entry that has no name")
-        kind = column.get("kind")
-        if kind == "categorical" and not _is_names(column.get("levels")):
-            raise bad(f"whose categorical column {column['name']!r} has no levels")
-        if kind not in ("numeric", "categorical"):
-            raise bad(f"whose column {column['name']!r} has kind {kind!r}")
-    named = {column["name"] for column in columns}
-    for term in schema["mu_terms"] + schema["sigma_terms"]:
-        if term not in named:
-            raise bad(f"whose term {term!r} has no column entry")
-    return schema
+def _warn_dropped(table) -> None:
+    if table.n_dropped:
+        print(
+            f"warning: dropped {table.n_dropped} row(s) with missing or "
+            f"unparseable cells",
+            file=sys.stderr,
+        )
 
 
 def _load_model(path) -> tuple[FittedModel, dict]:
@@ -229,12 +201,7 @@ def cmd_fit(args) -> int:
         sigma_terms=tuple(args.sigma),
     )
     table = ingest_csv(args.data, config)
-    if table.n_dropped:
-        print(
-            f"warning: dropped {table.n_dropped} row(s) with missing or "
-            f"unparseable cells",
-            file=sys.stderr,
-        )
+    _warn_dropped(table)
     spec = build_design(table, config)
     with warnings.catch_warnings():
         # non-convergence is reported through the exit code, not a warning
@@ -274,7 +241,8 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model, schema = _load_model(args.model)
     table = table_from_schema(args.data, schema, require_response=False)
-    W, Z = prediction_designs(table, schema)
+    _warn_dropped(table)
+    W, Z, _, _ = design_matrices(table, schema)
     medians = predict_median(model, W)
     sigmas = predict_sigma(model, Z)
     _write_lines(args.out, "median,sigma",
@@ -286,9 +254,9 @@ def cmd_predict(args) -> int:
 def cmd_residuals(args) -> int:
     model, schema = _load_model(args.model)
     table = table_from_schema(args.data, schema, require_response=True)
-    W, Z = prediction_designs(table, schema)
-    y = table.numeric[schema["response"]]
-    spec = ModelSpec(response=y, mu_design=W, sigma_design=Z)
+    _warn_dropped(table)
+    spec = ModelSpec(table.numeric[schema["response"]],
+                     *design_matrices(table, schema))
     residuals = quantile_residuals(model, spec)
     _write_lines(args.out, "quantile_residual", map(repr, residuals.tolist()))
     print(f"wrote {len(residuals)} residual(s) to {args.out}")

@@ -4,13 +4,15 @@ Input files are UTF-8 CSV with a header row, comma delimiter and '.' decimal
 mark.  Only the columns a model references are retained.  A referenced column
 is numeric when most of its non-missing cells parse as numbers; anything else
 is categorical, with levels sorted lexicographically and the first level used
-as the dummy-coding reference.  Rows with missing or unparseable cells in a
+as the dummy-coding reference.  Data read against a stored model schema takes
+the kinds and levels from it.  Rows with missing or unparseable cells in a
 referenced column are dropped, and the drop count is reported on the table.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +45,7 @@ class ModelConfig:
 
     @property
     def referenced_columns(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {self.response: None}
-        for t in self.mu_terms + self.sigma_terms:
-            seen.setdefault(t, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys((self.response, *self.mu_terms, *self.sigma_terms)))
 
 
 @dataclass
@@ -65,38 +64,33 @@ class DatasetTable:
 
 
 def _try_float(cell: str) -> float | None:
+    # every missing-cell marker is None here too: "NaN" parses but is not finite
     try:
         v = float(cell)
     except ValueError:
         return None
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
+                ) -> DatasetTable:
+    """Read ``columns`` of a CSV file into a DatasetTable, parsing each cell once.
+
+    A column named in ``kinds`` has that kind, "numeric" or "categorical";
+    any other is numeric when most of its non-missing cells parse.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise SpecificationError(f"{path}: file is empty") from None
             rows = [row for row in reader if row]
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
-    return [h.strip() for h in header], rows
-
-
-def ingest_csv(path, config: ModelConfig, kinds: dict[str, str] | None = None
-               ) -> DatasetTable:
-    """Read the referenced columns of a CSV file into a DatasetTable.
-
-    ``kinds`` optionally pins columns to "numeric" or "categorical" (used when
-    replaying a stored model schema); other columns get type inference.
-    """
-    header, rows = _read_rows(path)
     index = {name: i for i, name in enumerate(header)}
-    wanted = config.referenced_columns
-    missing_cols = [c for c in wanted if c not in index]
+    missing_cols = [c for c in columns if c not in index]
     if missing_cols:
         raise SpecificationError(
             f"{path}: referenced column(s) not found: {', '.join(missing_cols)}"
@@ -107,45 +101,54 @@ def ingest_csv(path, config: ModelConfig, kinds: dict[str, str] | None = None
                 f"{path}: row with {len(row)} cells does not match the header"
             )
 
-    cells = {c: [row[index[c]].strip() for row in rows] for c in wanted}
+    # Each column's cells as values, None where the row must be dropped.
+    values: dict[str, list] = {}
+    numeric_cols = set()
+    for c in columns:
+        cells = [row[index[c]].strip() for row in rows]
+        if kinds.get(c) != "categorical":
+            numbers = [_try_float(v) for v in cells]
+            parsed = len(numbers) - numbers.count(None)
+            if kinds.get(c) == "numeric" or parsed * 2 > sum(
+                    v not in _MISSING for v in cells):
+                values[c] = numbers
+                numeric_cols.add(c)
+                continue
+        values[c] = [None if v in _MISSING else v for v in cells]
 
-    # Type inference: numeric when a majority of non-missing cells parse.
-    kinds = kinds or {}
-    numeric_cols: list[str] = []
-    for c in wanted:
-        if c in kinds:
-            if kinds[c] == "numeric":
-                numeric_cols.append(c)
-            continue
-        values = [v for v in cells[c] if v not in _MISSING]
-        parsed = sum(1 for v in values if _try_float(v) is not None)
-        if values and parsed * 2 > len(values):
-            numeric_cols.append(c)
-
-    keep = []
-    for i in range(len(rows)):
-        ok = True
-        for c in wanted:
-            v = cells[c][i]
-            if v in _MISSING or (c in numeric_cols and _try_float(v) is None):
-                ok = False
-                break
-        if ok:
-            keep.append(i)
-
+    keep = [i for i in range(len(rows))
+            if all(column[i] is not None for column in values.values())]
     if not keep:
         raise SpecificationError(f"{path}: no usable rows after filtering")
 
-    table = DatasetTable(columns=wanted, n_rows=len(keep),
+    table = DatasetTable(columns=columns, n_rows=len(keep),
                          n_dropped=len(rows) - len(keep))
-    for c in wanted:
-        kept = [cells[c][i] for i in keep]
+    for c, column in values.items():
+        kept = [column[i] for i in keep]
         if c in numeric_cols:
-            table.numeric[c] = np.array([float(v) for v in kept])
+            table.numeric[c] = np.array(kept)
         else:
             table.categorical[c] = kept
             table.levels[c] = tuple(sorted(set(kept)))
     return table
+
+
+def ingest_csv(path, config: ModelConfig) -> DatasetTable:
+    """Read the columns ``config`` references, inferring each column's kind."""
+    return _read_table(path, config.referenced_columns, {})
+
+
+def table_from_schema(path, schema: dict, require_response: bool) -> DatasetTable:
+    """Read the columns of a stored schema (predict/residuals), kinds replayed.
+
+    ``design_matrices`` then replays the categorical level sets.
+    """
+    kinds = {t["name"]: t["kind"] for t in schema["columns"]}
+    columns = tuple(kinds)
+    if require_response:
+        kinds[schema["response"]] = "numeric"
+        columns = tuple(dict.fromkeys((schema["response"], *columns)))
+    return _read_table(path, columns, kinds)
 
 
 def _dummy_columns(
@@ -184,8 +187,26 @@ def _design_matrix(
     return np.column_stack(cols), tuple(names)
 
 
+def design_matrices(table: DatasetTable, schema: dict
+                    ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """(W, Z, mu_names, sigma_names): the intercepted designs under ``schema``.
+
+    Categorical columns dummy-code against the schema's levels, so a file
+    with, say, a single origin level still gets every trained column; an
+    unseen level is an error naming it.
+    """
+    levels = {
+        t["name"]: tuple(t["levels"])
+        for t in schema["columns"]
+        if t["kind"] == "categorical"
+    }
+    W, mu_names = _design_matrix(table, tuple(schema["mu_terms"]), levels)
+    Z, sigma_names = _design_matrix(table, tuple(schema["sigma_terms"]), levels)
+    return W, Z, mu_names, sigma_names
+
+
 def build_design(table: DatasetTable, config: ModelConfig) -> ModelSpec:
-    """Assemble the ModelSpec: response and intercepted, named designs.
+    """Assemble the ModelSpec: response and the designs of ``design_schema``.
 
     ModelSpec checks positivity and rank, naming any dependent column.
     """
@@ -195,25 +216,14 @@ def build_design(table: DatasetTable, config: ModelConfig) -> ModelSpec:
         raise SpecificationError(
             f"response column {config.response} must be numeric"
         )
-    W, mu_names = _design_matrix(table, config.mu_terms, table.levels)
-    Z, sigma_names = _design_matrix(table, config.sigma_terms, table.levels)
-    return ModelSpec(
-        response=table.numeric[config.response],
-        mu_design=W,
-        sigma_design=Z,
-        mu_names=mu_names,
-        sigma_names=sigma_names,
-    )
+    return ModelSpec(table.numeric[config.response],
+                     *design_matrices(table, design_schema(table, config)))
 
 
 def design_schema(table: DatasetTable, config: ModelConfig) -> dict:
     """JSON-ready description of how prediction data must be interpreted."""
     terms = []
-    seen = set()
-    for term in config.mu_terms + config.sigma_terms:
-        if term in seen:
-            continue
-        seen.add(term)
+    for term in dict.fromkeys(config.mu_terms + config.sigma_terms):
         if table.is_numeric(term):
             terms.append({"name": term, "kind": "numeric"})
         else:
@@ -229,41 +239,39 @@ def design_schema(table: DatasetTable, config: ModelConfig) -> dict:
     }
 
 
-def table_from_schema(path, schema: dict, require_response: bool) -> DatasetTable:
-    """Ingest a CSV against a stored schema (used by predict/residuals).
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
-    Column kinds are replayed from the schema rather than re-inferred;
-    ``prediction_designs`` then replays the categorical level sets.
+
+def _check_schema(path, schema) -> dict:
+    """Return ``schema`` if it has the layout ``design_schema`` writes.
+
+    Otherwise raise SpecificationError naming the file and the first entry
+    that is missing or of the wrong type.
     """
-    terms = tuple(t["name"] for t in schema["columns"])
-    kinds = {t["name"]: t["kind"] for t in schema["columns"]}
-    if require_response:
-        config = ModelConfig(response=schema["response"], mu_terms=terms)
-        kinds[schema["response"]] = "numeric"
-    elif terms:
-        config = ModelConfig(response=terms[0], mu_terms=terms)
-    else:
-        # Intercept-only model: only the row count matters.
-        _, rows = _read_rows(path)
-        if not rows:
-            raise SpecificationError(f"{path}: no data rows")
-        return DatasetTable(columns=(), n_rows=len(rows), n_dropped=0)
-    return ingest_csv(path, config, kinds=kinds)
+    def bad(what: str) -> SpecificationError:
+        return SpecificationError(f"{path} has a model schema {what}")
 
-
-def prediction_designs(table: DatasetTable, schema: dict
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_design, sigma_design) for new data under a stored schema.
-
-    Categorical columns dummy-code against the training levels, so a file
-    with, say, a single origin level still gets every trained column; an
-    unseen level is an error naming it.
-    """
-    levels = {
-        t["name"]: tuple(t["levels"])
-        for t in schema["columns"]
-        if t["kind"] == "categorical"
-    }
-    W, _ = _design_matrix(table, tuple(schema["mu_terms"]), levels)
-    Z, _ = _design_matrix(table, tuple(schema["sigma_terms"]), levels)
-    return W, Z
+    if not isinstance(schema, dict):
+        raise bad("that is not an object")
+    if not isinstance(schema.get("response"), str):
+        raise bad("without a response name")
+    for key in ("mu_terms", "sigma_terms"):
+        if not _is_names(schema.get(key)):
+            raise bad(f"whose {key!r} is not a list of names")
+    columns = schema.get("columns")
+    if not isinstance(columns, list):
+        raise bad("without a 'columns' list")
+    for column in columns:
+        if not (isinstance(column, dict) and isinstance(column.get("name"), str)):
+            raise bad("with a column entry that has no name")
+        kind = column.get("kind")
+        if kind == "categorical" and not _is_names(column.get("levels")):
+            raise bad(f"whose categorical column {column['name']!r} has no levels")
+        if kind not in ("numeric", "categorical"):
+            raise bad(f"whose column {column['name']!r} has kind {kind!r}")
+    named = {column["name"] for column in columns}
+    for term in schema["mu_terms"] + schema["sigma_terms"]:
+        if term not in named:
+            raise bad(f"whose term {term!r} has no column entry")
+    return schema

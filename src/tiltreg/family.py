@@ -264,9 +264,10 @@ class TiltedDistribution:
         exp(-e^(-beta s)) (e^-s + beta (1 - e^-s) e^(-beta s)) of S = -log(1-Y),
         which decays like e^(-min(1, beta) s); s^p h spreads over a few
         L = max(1, p)/min(1, beta).  Tanh-sinh on a window up to 64 L long, else
-        exp-sinh in units of L beyond each end, at step 1/32.  ``NumericalError``
-        if the sum is not finite (x^p overflows where h > 0) or the step-1/16
-        sum differs by over 1e-8 relative, as where the moment does not exist.
+        exp-sinh in units of L beyond each end, at step 1/32, with the terms
+        formed in log space.  ``NumericalError`` if the sum is not finite (the
+        moment overflows, or x does where h > 0) or the step-1/16 sum differs
+        by over 1e-8 relative, as where the moment does not exist.
         """
         if not 0 < p < np.inf:
             raise ValueError("moment order p must be positive and finite")
@@ -282,18 +283,30 @@ class TiltedDistribution:
         else:  # the integral beyond s_a less the one beyond s_b
             s = np.add.outer([s_a, s_b], scale * _ES_NODE)
             w = np.outer([scale, -scale], _ES_SLOPE)
-        e_b = np.exp(-self.beta * s)
-        h = np.exp(-e_b) * (np.exp(-s) - self.beta * np.expm1(-s) * e_b)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # each term w x^p h as exp(log |w| + p log x + log h), so that neither
+        # x^p nor h over- or underflows; where x overflowed and h underflows it is 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_h = -np.exp(-self.beta * s) + np.logaddexp(
+                -s, np.log(self.beta) + _log1mexp(s) - self.beta * s)
             x = np.asarray(self.baseline.quantile_from_log_sf(-s), dtype=float)
-            terms = w * np.where(h > 0, x**p * h, 0.0)
+            log_t = np.log(np.abs(w)) + p * np.log(x) + log_h
+            log_t[np.isinf(x) & (np.exp(log_h) == 0.0)] = -np.inf
+            top = log_t.max()
+            if top == -np.inf:
+                return 0.0
+            # sum relative to the largest term, then scale by e^top in two
+            # halves, so that a subnormal result is rounded once
+            terms = np.sign(w) * np.exp(log_t - top)
             fine, coarse = terms.sum() / 32.0, terms[..., ::2].sum() / 16.0
-            converged = np.isfinite(fine) and abs(fine - coarse) <= _DE_GAP * abs(fine)
-        if not converged:
-            raise NumericalError(
-                f"moment of order {p} on ({lower}, {upper}) is not finite or did "
-                f"not converge: steps 1/32 and 1/16 give {fine:.6e} and {coarse:.6e}")
-        return float(fine)
+            half = np.exp(0.5 * top)
+            value = fine * half * half
+            converged = np.isfinite(value) and abs(fine - coarse) <= _DE_GAP * abs(fine)
+            if not converged:
+                raise NumericalError(
+                    f"moment of order {p} on ({lower}, {upper}) is not finite or did "
+                    f"not converge: steps 1/32 and 1/16 give {value:.6e} and "
+                    f"{coarse * half * half:.6e}")
+        return float(value)
 
     def moment(self, p: float) -> float:
         """Raw moment E[X^p] = truncated_moment(p, 0, inf)."""

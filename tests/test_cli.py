@@ -10,9 +10,11 @@ from tiltreg import (
     SpecificationError,
     TiltedDistribution,
     build_design,
+    design_schema,
     ingest_csv,
 )
 from tiltreg.cli import main
+from tiltreg.data import design_matrices, table_from_schema
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +315,61 @@ class TestPredictCommand:
                      "--data", str(csv), "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "Grafted" in capsys.readouterr().err
+
+
+class TestOneDataPath:
+    """fit, predict and residuals read through one reader and one design builder."""
+
+    def test_schema_replay_gives_the_fit_design_bitwise(self, lime_path):
+        config = ModelConfig(response="Foliage", mu_terms=("Age", "Origin"))
+        table = ingest_csv(lime_path, config)
+        spec = build_design(table, config)
+        schema = design_schema(table, config)
+        W, Z, mu_names, sigma_names = design_matrices(
+            table_from_schema(lime_path, schema, require_response=True), schema)
+        assert W.shape == spec.mu_design.shape and Z.shape == spec.sigma_design.shape
+        assert W.tobytes() == spec.mu_design.tobytes()
+        assert Z.tobytes() == spec.sigma_design.tobytes()
+        assert (mu_names, sigma_names) == (spec.mu_names, spec.sigma_names)
+
+    @pytest.mark.parametrize("command", ["predict", "residuals"])
+    def test_dropped_row_is_warned_and_not_written(self, command, tmp_path,
+                                                   lime_path, capsys):
+        _, model = run_fit(tmp_path, lime_path)
+        lines = lime_path.read_text(encoding="utf-8").splitlines()
+        age = lines[0].split(",").index("Age")
+        cells = lines[5].split(",")
+        cells[age] = "NA"
+        lines[5] = ",".join(cells)
+        data = tmp_path / "lime_na.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main([command, "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: dropped 1 row(s) with missing or unparseable cells\n")
+        assert captured.out.startswith("wrote 384 ")
+        assert len(out.read_text().splitlines()) == 1 + 384
+
+    def test_intercept_only_predict_checks_the_row_shape(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "y\n" + "\n".join(f"{0.5 + 0.3 * i}" for i in range(25)) + "\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--response", "y",
+                     "--out", str(model)]) == 0
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("y\n1.0\n2.0,3.0\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(ragged),
+                     "--out", str(out)]) == 1
+        assert "row with 2 cells does not match the header" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestShapeCovariateEndToEnd:

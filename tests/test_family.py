@@ -609,6 +609,32 @@ class TestMomentOracles:
             with pytest.raises(NumericalError):
                 d.moment(p)
 
+    # Beyond s = 745, h = 2 e^-s (1 + O(e^-s)) underflows, and at beta = 0.3
+    # s^100 overflows where h > 0; the rule forms its terms in log space.
+
+    def test_truncated_moment_where_h_underflows(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = float(2 * mpmath.gammainc(101, 800))  # 1.70744524153753e-57
+        assert tilted(1.0, 1.0).truncated_moment(100.0, 800.0, math.inf) == (
+            pytest.approx(exact, rel=1e-13))
+
+    def test_subnormal_truncated_moment(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = float(2 * mpmath.gammainc(2, 745))  # 4.2109472898641e-321
+        value = tilted(1.0, 1.0).truncated_moment(1.0, 745.0, math.inf)
+        assert abs(value - exact) <= 2 * math.ulp(0.0)
+
+    def test_moment_where_x_to_the_p_overflows(self):
+        exact = float(aux_moment_series(0.3, 100.0))  # 1.8108320927810199e210
+        assert tilted(1.0, 0.3).moment(100.0) == pytest.approx(exact, rel=1e-13)
+
+    def test_step_gap_still_rejects_an_unresolved_moment(self):
+        # 2 Gamma(151) = 1.14e263 is finite, but the two steps differ by 1.7e-6
+        with pytest.raises(NumericalError, match="1.142677e\\+263"):
+            tilted(1.0, 1.0).moment(150.0)
+
 
 # ---------------------------------------------------------------------------
 # empirical identifiability
