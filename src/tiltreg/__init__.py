@@ -26,7 +26,6 @@ from .regression import (
     ModelSpec,
     fit,
     log_likelihood,
-    loglik_gradient,
     observed_information,
     predict_median,
     predict_sigma,
@@ -52,7 +51,6 @@ __all__ = [
     "fit",
     "ingest_csv",
     "log_likelihood",
-    "loglik_gradient",
     "observed_information",
     "predict_median",
     "predict_sigma",

@@ -95,50 +95,50 @@ def median_tilted_logpdf(x, mu, sigma):
     return np.log(lam) - lam * x + log_bracket - b
 
 
-def median_tilted_score(x, mu, sigma):
-    """(d logf/d mu, d logf/d sigma) of the median parameterization.
+def median_tilted_derivatives(x, mu, sigma):
+    """(d_u, d_v, d_uu, d_uv, d_vv) of log f in u = log(mu), v = log(sigma).
 
-    Differentiates the log-space decomposition used by
-    ``median_tilted_logpdf``: with weights w1, w2 from the logaddexp of the
-    two density branches,
-
-        d logf = -db + w1*dt1 + w2*dt2
-
-    applied coordinate-wise in mu and sigma.  Vectorized; used as the
-    optimizer's internal gradient through the link chain rule.
+    Differentiates ``median_tilted_logpdf``'s log f = logaddexp(t1, t2) - b,
+    t1 = log c - u - c r, t2 = log(1 - e^{-c r}) + log(-logL) - u + r logL,
+    b = e^{r logL}, r = x/mu.  With the logaddexp weights w1, w2, the Hessian
+    of logaddexp(t1, t2) is w1 H(t1) + w2 H(t2) + w1 w2 dd' with
+    d = grad t1 - grad t2.  L = log1p(1 - e^-sigma) = log(2(1 - e^-c)) keeps
+    its relative accuracy as sigma -> 0.  Vectorized.
     """
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
+    x, mu, sigma = (np.asarray(a, dtype=float) for a in (x, mu, sigma))
     c = sigma + _LOG2
-    lam = c / mu
-    A = -np.expm1(-c)  # 1 - e^{-c}
-    L = np.log(2.0 * A)
+    sc = sigma / c
+    L = np.log1p(-np.expm1(-sigma))
     logL = np.log(L)
+    q = 1.0 / (2.0 * np.exp(sigma) - 1.0)  # dL/dc = e^-c / (1 - e^-c)
+    l_v = sigma * q / L  # d logL / dv, then d2 logL / dv2
+    l_vv = l_v - sigma * sigma * (q * (1.0 + q) / L + (q / L) ** 2)
     r = x / mu
-    b = np.exp(r * logL)
-    lx = lam * x
-    E = -np.expm1(-lx)  # 1 - e^{-lam x}
-    t1 = np.log(lam) - lx
-    t2 = np.log(E) + np.log(-logL) - np.log(mu) + r * logL
+    a = r * logL
+    b = np.exp(a)
+    lx = c * r
+    E = -np.expm1(-lx)
+    # k1 = lx/(e^lx - 1), k2 = lx^2 e^lx/(e^lx - 1)^2: from 1 at lx = 0 to 0.
+    k1 = lx * np.exp(-lx) / E
+    k2 = k1 * lx / E
+    t1 = np.log(c) - np.log(mu) - lx
+    t2 = np.log(E) + np.log(-logL) - np.log(mu) + a
     s = np.logaddexp(t1, t2)
     w1 = np.exp(t1 - s)
     w2 = np.exp(t2 - s)
-
-    dlogL = np.exp(-c) / (A * L)  # d logL / d sigma
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lx < 1e-8, 1.0 / lam, x * np.exp(-lx) / E)  # x e^-lx / E
-
-    db_dmu = -b * r * logL / mu
-    db_dsig = b * r * dlogL
-    dt1_dmu = (lx - 1.0) / mu
-    dt1_dsig = (1.0 - lx) / c
-    dt2_dmu = -(lam * ratio + 1.0 + r * logL) / mu
-    dt2_dsig = ratio / mu + dlogL / logL + r * dlogL
-
-    d_mu = -db_dmu + w1 * dt1_dmu + w2 * dt2_dmu
-    d_sigma = -db_dsig + w1 * dt1_dsig + w2 * dt2_dsig
-    return d_mu, d_sigma
+    t1_u, t1_v = lx - 1.0, sc * (1.0 - lx)
+    t2_u, t2_v = -k1 - 1.0 - a, sc * k1 + l_v / logL + r * l_v
+    du, dv, w12 = t1_u - t2_u, t1_v - t2_v, w1 * w2
+    return (
+        w1 * t1_u + w2 * t2_u + a * b,
+        w1 * t1_v + w2 * t2_v - b * r * l_v,
+        -w1 * lx + w2 * (k1 - k2 + a) + w12 * du * du - b * a * (1.0 + a),
+        w1 * sc * lx + w2 * (sc * (k2 - k1) - r * l_v) + w12 * du * dv
+        + b * r * l_v * (1.0 + a),
+        w1 * sc * (_LOG2 / c - lx)
+        + w2 * (sc * (k1 - sc * k2) + l_vv / logL - (l_v / logL) ** 2 + r * l_vv)
+        + w12 * dv * dv - b * r * (l_vv + r * l_v * l_v),
+    )
 
 
 def MedianTiltedExponential(mu: float, sigma: float) -> TiltedDistribution:

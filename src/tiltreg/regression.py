@@ -6,12 +6,10 @@ Each response ``y_i`` follows the median-parameterized tilted exponential with
     log(sigma_i) = z_i' gamma        (shape submodel, design Z)
 
 and the joint coefficient vector theta = (alpha, gamma) is estimated by
-maximum likelihood: a quasi-Newton pass followed by Newton polishing on a
-Hessian built from central differences of the analytic score, so that the
-reported optimum satisfies a gradient max-norm tolerance rather than whatever
-the line search last produced.  Standard errors come from the inverse observed
-information (negative of that Hessian at the optimum) and hypothesis tests are
-Wald z-tests.
+maximum likelihood in one damped Newton loop, whose score and analytic Hessian
+come from one pass of the fused kernel ``median_tilted_derivatives`` over the
+data.  Standard errors come from the inverse observed information (negative of
+that Hessian at the optimum) and hypothesis tests are Wald z-tests.
 """
 
 from __future__ import annotations
@@ -21,20 +19,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
-from scipy.special import ndtr
+# Never called: perfbench/tracing.py wraps this name until ROADMAP item 1.
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import InferenceError, SpecificationError
-from .exponential import median_tilted_logpdf, median_tilted_score
+from .exponential import median_tilted_derivatives, median_tilted_logpdf
 
-_HESS_REL_STEP = 1e-5
 # Rows per kernel block: 8192 float64 temporaries are 64 KB each, below
 # glibc's 128 KB mmap threshold, so they are reused from the heap and stay in
 # cache instead of being mapped and faulted in afresh on every call.
 _BLOCK = 8192
 _RANK_RTOL = 1e-10
-# Relative log-likelihood change below which Newton polishing may stop.
+# Relative log-likelihood change below which the Newton loop may stop.
 _LL_TOL = 1e-10
 
 
@@ -160,64 +156,80 @@ def log_likelihood(spec: ModelSpec, theta) -> float:
     return math.fsum(memoryview(terms))
 
 
-def loglik_gradient(spec: ModelSpec, theta) -> np.ndarray:
-    """Analytic score vector of the log-likelihood at theta.
+def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Score and Hessian of the log-likelihood at theta, in one pass.
 
-    Chains the closed-form per-observation derivatives through the log links
-    (d mu/d alpha_j = mu * w_j and likewise for sigma), in row blocks of
-    ``_BLOCK`` observations.  Component reductions use exact summation,
-    matching the order invariance of log_likelihood.
+    Chains the kernel's link-coordinate derivatives through the designs in
+    row blocks of ``_BLOCK``: the score is (W'd_u, Z'd_v), the Hessian has the
+    blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one exact sum
+    (math.fsum), so both are independent of observation order and blocking.
     """
-    p1 = spec.n_mu_coefs
-    terms = np.empty((spec.n_coefs, spec.n_obs))
+    p1, p = spec.n_mu_coefs, spec.n_coefs
+    pairs = [(i, j) for i in range(p) for j in range(i, p)]
+    terms = np.empty((p + len(pairs), spec.n_obs))
     with np.errstate(all="ignore"):
         for rows, y, mu, sigma in _linked_blocks(spec, theta):
-            d_mu, d_sigma = median_tilted_score(y, mu, sigma)
-            np.multiply(spec.mu_design[rows].T, d_mu * mu, out=terms[:p1, rows])
-            np.multiply(spec.sigma_design[rows].T, d_sigma * sigma,
-                        out=terms[p1:, rows])
-    return np.array([math.fsum(memoryview(row)) for row in terms])
-
-
-def _hessian(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    """Hessian of the log-likelihood from central differences of the score.
-
-    Column j is ``(g(theta + h_j e_j) - g(theta - h_j e_j)) / (2 h_j)`` with
-    ``g = loglik_gradient`` and ``h_j = _HESS_REL_STEP * max(1, |theta_j|)``;
-    the result is symmetrized.  Each score sums exactly, so the Hessian does
-    not depend on the order of the observations.
-    """
-    p = theta.size
-    h = _HESS_REL_STEP * np.maximum(1.0, np.abs(theta))
+            d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
+            cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
+            for i in range(p):
+                np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i, rows])
+            for k, (i, j) in enumerate(pairs, start=p):
+                d = d_uu if j < p1 else d_uv if i < p1 else d_vv
+                np.multiply(cols[i] * cols[j], d, out=terms[k, rows])
+    sums = [math.fsum(memoryview(row)) for row in terms]
     H = np.empty((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = h[j]
-        H[:, j] = (loglik_gradient(spec, theta + e)
-                   - loglik_gradient(spec, theta - e)) / (2.0 * h[j])
-    return 0.5 * (H + H.T)
+    for k, (i, j) in enumerate(pairs, start=p):
+        H[i, j] = H[j, i] = sums[k]
+    return np.array(sums[:p]), H
+
+
+def _cholesky_solve(J: np.ndarray, b: np.ndarray, shifts=(0.0,)):
+    """Solve (J + s I) x = b by Cholesky for the first shift s that factors.
+
+    None when no shift gives a finite factor."""
+    for s in shifts:
+        try:
+            C = np.linalg.cholesky(J + s * np.eye(len(J)))
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(C)):
+            break
+    else:
+        return None
+    x = np.array(b, dtype=float)
+    for i in range(len(x)):
+        x[i] = (x[i] - C[i, :i] @ x[:i]) / C[i, i]
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - C[i + 1:, i] @ x[i + 1:]) / C[i, i]
+    return x
+
+
+def _information_inverse(J: np.ndarray) -> np.ndarray:
+    J_inv = _cholesky_solve(J, np.eye(len(J)))
+    if J_inv is None:
+        raise InferenceError(
+            "observed information is not positive definite; theta_hat is "
+            "not a proper maximum or the likelihood is flat along a direction"
+        )
+    return 0.5 * (J_inv + J_inv.T)
 
 
 def observed_information(spec: ModelSpec, theta_hat) -> tuple[np.ndarray, np.ndarray]:
     """Observed information J = -Hessian(loglik) and its inverse at theta_hat.
 
-    The Hessian is built from central differences of the analytic score and J
-    is inverted through a Cholesky solve; failure of the factorization means
+    The Hessian is the analytic one of ``fit``'s derivative pass, and J is
+    inverted through its Cholesky factor; failure of the factorization means
     theta_hat is not a proper maximum (or the likelihood is flat along some
     direction), reported as an InferenceError rather than garbage covariances.
     """
     theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    J = -_hessian(spec, theta_hat)
-    try:
-        factor = cho_factor(J)
-    except np.linalg.LinAlgError as exc:
-        raise InferenceError(
-            "observed information is not positive definite; theta_hat is "
-            "not a proper maximum or the likelihood is flat along a direction"
-        ) from exc
-    J_inv = cho_solve(factor, np.eye(theta_hat.size))
-    J_inv = 0.5 * (J_inv + J_inv.T)
-    return J, J_inv
+    J = -_score_and_hessian(spec, theta_hat)[1]
+    return J, _information_inverse(J)
+
+
+def _two_sided_p(z: float) -> float:
+    """2 Phi(-|z|), the two-sided p-value of a standard normal z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -259,8 +271,7 @@ class FittedModel:
 
     @property
     def p_values(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return 2.0 * ndtr(-np.abs(self.z_stats))
+        return np.array([_two_sided_p(z) for z in self.z_stats])
 
 
 def _initial_theta(spec: ModelSpec) -> np.ndarray:
@@ -277,33 +288,24 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
         ) -> FittedModel:
     """Maximize the log-likelihood and package estimates with inference.
 
-    A BFGS pass (with the analytic score ``loglik_gradient`` as its gradient)
-    finds the neighborhood of the optimum; Newton steps on the observed
-    information, built from central differences of the analytic score, then
-    polish until the score's max-norm falls below ``grad_tol`` and the
-    relative log-likelihood change falls below 1e-10.  When the budget of
-    ``max_iter`` total iterations runs out first, the model is returned with
-    ``converged=False`` instead of raising.
+    One damped Newton loop from ``_initial_theta``: each iteration solves
+    J step = score with the observed information J = -H from one derivative
+    pass, shifting J's diagonal where its Cholesky fails, and halves the step
+    until the log-likelihood does not fall.  The loop stops once the score's
+    max-norm is below ``grad_tol`` and the relative log-likelihood change is
+    below 1e-10.  The standard errors use the J of the last iterate.  When
+    the budget of ``max_iter`` iterations runs out first, the model is
+    returned with ``converged=False`` instead of raising.
     """
-    theta0 = _initial_theta(spec)
-    ll0 = log_likelihood(spec, theta0)
-    if not np.isfinite(ll0):
+    theta = _initial_theta(spec)
+    ll = log_likelihood(spec, theta)
+    if not np.isfinite(ll):
         raise InferenceError("log-likelihood is not finite at the initial point")
 
-    res = minimize(
-        lambda t: -log_likelihood(spec, t),
-        theta0,
-        jac=lambda t: -loglik_gradient(spec, t),
-        method="BFGS",
-        options={"maxiter": max_iter, "gtol": 0.1 * grad_tol},
-    )
-    theta = np.asarray(res.x, dtype=float)
-    iterations = int(res.nit)
-    ll = log_likelihood(spec, theta)
-
+    iterations = 0
     converged = False
     rel_change = math.inf
-    g = loglik_gradient(spec, theta)
+    g, H = _score_and_hessian(spec, theta)
     gnorm = float(np.max(np.abs(g)))
     while True:
         if gnorm < grad_tol and rel_change < _LL_TOL:
@@ -311,11 +313,10 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
             break
         if iterations >= max_iter:
             break
-        try:
-            step = np.linalg.solve(-_hessian(spec, theta), g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
+        # Levenberg-Marquardt: shifts up to 1e4 max|J_ij| pass every eigenvalue.
+        top = float(np.max(np.abs(H)))
+        step = _cholesky_solve(-H, g, [0.0] + [top * 10.0 ** k for k in range(-8, 5)])
+        if step is None or not np.all(np.isfinite(step)):
             break
         scale = 1.0
         ll_new = log_likelihood(spec, theta + step)
@@ -328,12 +329,12 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
         rel_change = abs(ll_new - ll) / max(1.0, abs(ll_new))
         ll = ll_new
         iterations += 1
-        g = loglik_gradient(spec, theta)
+        g, H = _score_and_hessian(spec, theta)
         gnorm = float(np.max(np.abs(g)))
 
     p = spec.n_coefs
     try:
-        _, info_inv = observed_information(spec, theta)
+        info_inv = _information_inverse(-H)
     except InferenceError:
         if converged:
             raise
@@ -365,7 +366,7 @@ def wald_test(fitted: FittedModel, j: int, theta0: float = 0.0) -> tuple[float, 
     if not (np.isfinite(se) and se > 0):
         raise InferenceError(f"standard error for coefficient {j} is not positive")
     z = (float(fitted.theta_hat[j]) - theta0) / se
-    return z, float(2.0 * ndtr(-abs(z)))
+    return z, _two_sided_p(z)
 
 
 def predict_median(fitted: FittedModel, new_mu_design) -> np.ndarray:

@@ -1,0 +1,52 @@
+"""The benchmark's span tracer wraps tiltreg around a fit and restores it.
+
+``perfbench/tracing.py`` looks up the names it wraps in tiltreg's modules, so
+a name it expects but the library no longer binds breaks every traced
+benchmark run.  This runs a small fit under the tracer.
+"""
+
+import inspect
+import pathlib
+import sys
+
+import pytest
+
+from tiltreg import regression
+from tests.conftest import simulate_intercept_only
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
+def _namespaces():
+    """Every tiltreg module and every class they define, with a copy of its dict."""
+    spaces = []
+    for name, mod in list(sys.modules.items()):
+        if name == "tiltreg" or name.startswith("tiltreg."):
+            spaces.append((mod, dict(vars(mod))))
+            for obj in vars(mod).values():
+                if inspect.isclass(obj) and obj.__module__.startswith("tiltreg"):
+                    spaces.append((obj, dict(vars(obj))))
+    return spaces
+
+
+def test_fit_under_tracer_records_and_restores(tracing):
+    spec = simulate_intercept_only(300, 3.0, 0.5, seed=2)
+    before = _namespaces()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        model = regression.fit(spec)
+    assert model.converged
+    assert "regression.fit" in {span[0] for span in tracer.spans}
+    for owner, attrs in before:
+        for key, value in attrs.items():
+            assert vars(owner)[key] is value, f"{owner.__name__}.{key} not restored"

@@ -12,7 +12,11 @@ from tiltreg import (
     NumericalError,
     TiltedDistribution,
 )
-from tiltreg.exponential import median_tilted_cdf, median_tilted_logpdf
+from tiltreg.exponential import (
+    median_tilted_cdf,
+    median_tilted_derivatives,
+    median_tilted_logpdf,
+)
 
 LOG2 = math.log(2.0)
 
@@ -179,3 +183,50 @@ class TestMedianParameterization:
     def test_two_route_property(self, mu, sigma, x):
         m = MedianTiltedExponential(mu, sigma)
         assert median_tilted_cdf(x, mu, sigma) == pytest.approx(m.cdf(x), abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# fused derivative kernel
+# ---------------------------------------------------------------------------
+
+class TestDerivativeKernel:
+    # (log mu, log sigma, x/mu): the small c x/mu side (below 1e-8), x/mu =
+    # 100, sigma in {1e-6, 20} and interior points
+    POINTS = [
+        pytest.param(math.log(3.0), math.log(0.5), 1e-9, id="small-q"),
+        pytest.param(2.0, -1.9, 1e-10, id="small-q-lime-sigma"),
+        pytest.param(1.0, math.log(1e-6), 1e-9, id="small-q-sigma-1e-6"),
+        pytest.param(0.0, math.log(20.0), 1e-10, id="small-q-sigma-20"),
+        pytest.param(0.0, 0.0, 100.0, id="ratio-100"),
+        pytest.param(0.0, math.log(1e-6), 100.0, id="ratio-100-sigma-1e-6"),
+        pytest.param(0.0, math.log(20.0), 100.0, id="ratio-100-sigma-20"),
+        pytest.param(0.0, math.log(1e-6), 1.0, id="median-sigma-1e-6"),
+        pytest.param(0.0, math.log(20.0), 1.0, id="median-sigma-20"),
+        pytest.param(-1.5, -1.9, 0.3, id="interior-a"),
+        pytest.param(0.5, 0.2, 3.0, id="interior-b"),
+    ]
+
+    @pytest.mark.parametrize("u, v, ratio", POINTS)
+    def test_matches_50_digit_differentiation(self, u, v, ratio):
+        mpmath = pytest.importorskip("mpmath")
+        x = ratio * math.exp(u)
+        got = median_tilted_derivatives(x, math.exp(u), math.exp(v))
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+
+            def log_f(uu, vv):
+                mu, sigma = mpmath.exp(uu), mpmath.exp(vv)
+                c = sigma + mpmath.log(2)
+                L = mpmath.log(2 * (1 - mpmath.exp(-c)))
+                r = xm / mu
+                b = L ** r
+                return (mpmath.log(c / mu) - c * r
+                        + mpmath.log(1 - mpmath.log(L) / c * mpmath.expm1(c * r) * b)
+                        - b)
+
+            at = (mpmath.mpf(u), mpmath.mpf(v))
+            want = [mpmath.diff(log_f, at, order)
+                    for order in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+            for g, w in zip(got, want):
+                if abs(w) > 1e-300:
+                    assert abs((mpmath.mpf(float(g)) - w) / w) < 1e-10

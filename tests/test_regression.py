@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from tiltreg import (
+    FittedModel,
     InferenceError,
     MedianTiltedExponential,
     ModelSpec,
     SpecificationError,
     fit,
     log_likelihood,
-    loglik_gradient,
     observed_information,
     predict_median,
     wald_test,
 )
-from tiltreg.exponential import median_tilted_logpdf, median_tilted_score
-from tiltreg.regression import _BLOCK
+from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
+from tiltreg.regression import _BLOCK, _score_and_hessian
 from tests.conftest import simulate_intercept_only
 
 
@@ -164,19 +165,26 @@ class TestLogLikelihood:
         assert log_likelihood(spec, theta) == log_likelihood(shuffled, theta)
 
 
-def unblocked_loglik_and_score(spec, theta):
-    """log_likelihood and loglik_gradient as whole-array expressions."""
+def unblocked_loglik_score_and_hessian(spec, theta):
+    """log_likelihood and the derivative pass as whole-array expressions."""
     alpha, gamma = spec.split(theta)
+    p1, p = spec.n_mu_coefs, spec.n_coefs
+    X = np.hstack([spec.mu_design, spec.sigma_design])
     with np.errstate(all="ignore"):
         mu = np.exp(spec.mu_design @ alpha)
         sigma = np.exp(spec.sigma_design @ gamma)
         terms = median_tilted_logpdf(spec.response, mu, sigma)
-        d_mu, d_sigma = median_tilted_score(spec.response, mu, sigma)
-        mu_terms = spec.mu_design * (d_mu * mu)[:, None]
-        sigma_terms = spec.sigma_design * (d_sigma * sigma)[:, None]
+        d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(
+            spec.response, mu, sigma)
+        score = [X[:, i] * (d_u if i < p1 else d_v) for i in range(p)]
+        hess = {(i, j): X[:, i] * X[:, j] * (d_uu if j < p1 else d_uv if i < p1
+                                             else d_vv)
+                for i in range(p) for j in range(i, p)}
     ll = math.fsum(terms.tolist()) if np.all(np.isfinite(terms)) else -math.inf
-    score = [math.fsum(col.tolist()) for col in np.hstack([mu_terms, sigma_terms]).T]
-    return ll, np.array(score)
+    H = np.empty((p, p))
+    for (i, j), t in hess.items():
+        H[i, j] = H[j, i] = math.fsum(t.tolist())
+    return ll, np.array([math.fsum(t.tolist()) for t in score]), H
 
 
 class TestRowBlocks:
@@ -201,7 +209,7 @@ class TestRowBlocks:
     ])
     def test_bit_identical_to_unblocked(self, spec, theta):
         theta = np.array(theta)
-        ll, score = unblocked_loglik_and_score(spec, theta)
+        ll, score, H = unblocked_loglik_score_and_hessian(spec, theta)
         perm = np.random.default_rng(5).permutation(spec.n_obs)
         shuffled = ModelSpec(
             response=spec.response[perm],
@@ -210,7 +218,9 @@ class TestRowBlocks:
         )
         for s in (spec, shuffled):
             assert log_likelihood(s, theta) == ll
-            assert np.array_equal(loglik_gradient(s, theta), score, equal_nan=True)
+            g_s, H_s = _score_and_hessian(s, theta)
+            assert np.array_equal(g_s, score, equal_nan=True)
+            assert np.array_equal(H_s, H, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +233,7 @@ class TestDerivatives:
         rng = np.random.default_rng(0)
         for _ in range(5):
             theta = np.array([rng.normal(1.0, 0.2), rng.normal(-0.6, 0.2)])
-            g = loglik_gradient(spec, theta)
+            g = _score_and_hessian(spec, theta)[0]
             for j in range(2):
                 h = 1e-5 * max(1.0, abs(theta[j]))
                 e = np.zeros(2)
@@ -231,6 +241,27 @@ class TestDerivatives:
                 fd = (log_likelihood(spec, theta + e)
                       - log_likelihood(spec, theta - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_hessian_matches_score_differences(self):
+        # covariates in both submodels exercise all three Hessian blocks
+        n = 2000
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, 3))
+        spec = ModelSpec(
+            response=MedianTiltedExponential(2.0, 0.6).sample(n, seed=3),
+            mu_design=np.column_stack([np.ones(n), x[:, 0], x[:, 1]]),
+            sigma_design=np.column_stack([np.ones(n), x[:, 2]]),
+        )
+        for theta in ([0.7, 0.0, 0.0, -0.5, 0.0], [0.5, 0.3, -0.2, -0.3, 0.2]):
+            theta = np.array(theta)
+            H = _score_and_hessian(spec, theta)[1]
+            fd = np.empty_like(H)
+            for j in range(theta.size):
+                e = np.zeros(theta.size)
+                e[j] = 1e-5 * max(1.0, abs(theta[j]))
+                fd[:, j] = (_score_and_hessian(spec, theta + e)[0]
+                            - _score_and_hessian(spec, theta - e)[0]) / (2 * e[j])
+            np.testing.assert_allclose(H, fd, rtol=1e-6)
 
     def test_observed_information_symmetric_and_cross_checked(self, lime_spec,
                                                               lime_fit):
@@ -300,7 +331,7 @@ class TestFit:
         model = fit(spec)
         assert model.converged
         assert model.gradient_max_norm < 1e-6
-        g = loglik_gradient(spec, model.theta_hat)
+        g = _score_and_hessian(spec, model.theta_hat)[0]
         assert np.max(np.abs(g)) < 1e-6
 
     def test_permutation_invariance(self):
@@ -342,6 +373,10 @@ class TestFit:
         assert not model.converged
         assert model.iterations <= 1
 
+    def test_lime_converges_in_few_newton_steps(self, lime_fit):
+        assert lime_fit.converged
+        assert lime_fit.iterations <= 12
+
     def test_unused_iterations_budget(self):
         spec = simulate_intercept_only(500, 3.0, 0.5, seed=31)
         model = fit(spec, max_iter=500)
@@ -365,6 +400,18 @@ class TestWald:
             assert z == pytest.approx(float(lime_fit.z_stats[j]), rel=1e-12)
             assert p == pytest.approx(float(lime_fit.p_values[j]), rel=1e-10,
                                       abs=1e-300)
+
+    def test_p_values_match_normal_cdf(self):
+        # 2 Phi(-|z|) from math.erfc against scipy's ndtr over z in [0, 37]
+        theta = np.linspace(0.0, 37.0, 371)
+        model = FittedModel(theta_hat=theta, info_inverse=np.eye(theta.size),
+                            loglik_at_optimum=0.0, converged=True, iterations=0,
+                            gradient_max_norm=0.0, n_mu_coefs=1, n_obs=10_000)
+        ref = 2.0 * ndtr(-np.abs(theta))
+        np.testing.assert_allclose(model.p_values, ref, rtol=1e-12, atol=0.0)
+        for j in (0, 100, 250, 370):
+            assert wald_test(model, j)[1] == pytest.approx(ref[j], rel=1e-12,
+                                                           abs=0.0)
 
     def test_index_error(self, lime_fit):
         with pytest.raises(IndexError):
