@@ -2,9 +2,11 @@
 
 ``perfbench/tracing.py`` looks up the names it wraps in tiltreg's modules, so
 a name it expects but the library no longer binds breaks every traced
-benchmark run.  This runs a small fit under the tracer.
+benchmark run.  This runs a small fit under the tracer, and one op of every
+benchmark workload with and without it.
 """
 
+import importlib
 import inspect
 import pathlib
 import sys
@@ -17,14 +19,16 @@ from tests.conftest import simulate_intercept_only
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _perfbench(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import tracing
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return tracing
+
+
+tracing = _perfbench("tracing")
+workloads = _perfbench("workloads")
 
 
 def _namespaces():
@@ -39,7 +43,7 @@ def _namespaces():
     return spaces
 
 
-def test_fit_under_tracer_records_and_restores(tracing):
+def test_fit_under_tracer_records_and_restores():
     spec = simulate_intercept_only(300, 3.0, 0.5, seed=2)
     before = _namespaces()
     tracer = tracing.Tracer()
@@ -50,3 +54,14 @@ def test_fit_under_tracer_records_and_restores(tracing):
     for owner, attrs in before:
         for key, value in attrs.items():
             assert vars(owner)[key] is value, f"{owner.__name__}.{key} not restored"
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_op_is_correct_traced_and_untraced(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(PERFBENCH.parent)
+    workload = workloads.WORKLOADS[name](7, str(tmp_path))
+    workload.warm_up()
+    with tracing.Tracer().installed():
+        traced = workload.op()
+    assert workload.check(traced) is None
+    assert workload.check(workload.op()) is None

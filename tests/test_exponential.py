@@ -12,6 +12,7 @@ from tiltreg import (
     NumericalError,
     TiltedDistribution,
 )
+from tiltreg.cli import main
 from tiltreg.exponential import (
     median_tilted_cdf,
     median_tilted_derivatives,
@@ -149,9 +150,14 @@ class TestMedianParameterization:
             beta = MedianTiltedExponential(1.0, float(sigma)).beta
             assert beta > 0
 
-    def test_tiny_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            MedianTiltedExponential(1.0, 1e-9)
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-12, 1e-300])
+    def test_tiny_sigma_keeps_median(self, sigma, capsys):
+        # L = log1p(1 - e^-sigma) stays positive, so beta stays finite
+        m = MedianTiltedExponential(2.0, sigma)
+        assert abs(m.cdf(2.0) - 0.5) <= 1e-15
+        assert m.quantile(0.5) == pytest.approx(2.0, rel=1e-14)
+        assert main(["dist", "cdf", "--mu", "2", "--sigma", repr(sigma), "--x", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "0.5"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +176,30 @@ class TestMedianParameterization:
         assert np.all(s > 0)
         # empirical median close to mu
         assert np.median(s) == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-6, 1e-4, 0.15, 1.0, 20.0])
+    def test_matches_40_digit_formulas(self, sigma):
+        # log f, F, beta and the rate against the printed formulas, with
+        # L = log(2(1 - e^-c)) evaluated at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mu = 2.0
+        x = np.array([1e-6, 0.01, 0.5, 1.0, 3.0, 30.0]) * mu
+        m = MedianTiltedExponential(mu, sigma)
+        got = [*median_tilted_logpdf(x, mu, sigma), *median_tilted_cdf(x, mu, sigma),
+               m.beta, m.baseline.rate]
+        with mpmath.workdps(40):
+            c = mpmath.mpf(sigma) + mpmath.log(2)
+            L = mpmath.log(2 * (1 - mpmath.exp(-c)))
+            logpdf, cdf = [], []
+            for xi in x:
+                r = mpmath.mpf(float(xi)) / mu
+                b = L ** r
+                logpdf.append(mpmath.log(c / mu) - c * r - b
+                              + mpmath.log(1 - mpmath.log(L) / c * mpmath.expm1(c * r) * b))
+                cdf.append(-mpmath.expm1(-c * r) * mpmath.exp(-b))
+            want = [*logpdf, *cdf, -mpmath.log(L) / c, c / mu]
+            worst = max(abs((mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want))
+        assert worst < 1e-14
 
     @settings(max_examples=60)
     @given(mus, sigmas)

@@ -143,6 +143,14 @@ class TestLogLikelihood:
         spec = intercept_spec([1.0, 2.0, 3.0])
         assert log_likelihood(spec, np.array([1000.0, 0.0])) == -math.inf
         assert log_likelihood(spec, np.array([0.0, 1000.0])) == -math.inf
+        # sigma = e^-1000 underflows to 0
+        assert log_likelihood(spec, np.array([0.0, -1000.0])) == -math.inf
+
+    def test_vanishing_sigma_reaches_exponential_limit(self):
+        # sigma = e^-700 ~ 1e-304: beta ~ 1010, so f(y) = log 2 e^(-y log 2) at mu = 1
+        spec = intercept_spec([1.0, 2.0, 3.0])
+        limit = 3.0 * math.log(math.log(2.0)) - 6.0 * math.log(2.0)
+        assert log_likelihood(spec, np.array([0.0, -700.0])) == pytest.approx(limit, rel=1e-14)
 
     def test_concave_along_slice(self):
         spec = simulate_intercept_only(500, 3.0, 0.5, seed=77)
