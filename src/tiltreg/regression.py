@@ -27,8 +27,15 @@ from .exponential import median_tilted_derivatives, median_tilted_logpdf
 
 # Rows per kernel block: 8192 float64 temporaries are 64 KB each, below
 # glibc's 128 KB mmap threshold, so they are reused from the heap and stay in
-# cache instead of being mapped and faulted in afresh on every call.
+# cache instead of being mapped and faulted in afresh on every call.  A block's
+# terms are reduced to exact partial sums before the next block is formed, so
+# no n-sized array of terms exists.
 _BLOCK = 8192
+# Terms at or above this magnitude are left to math.fsum.  Below it, and for
+# fewer than 2**50 terms, the extraction's sigma stays finite and no running
+# sum can overflow, in fsum or in the extraction, so neither raises
+# OverflowError where the other does not.
+_EXACT_MAX = 2.0 ** 960
 _RANK_RTOL = 1e-10
 # Relative log-likelihood change below which the Newton loop may stop.
 _LL_TOL = 1e-10
@@ -138,19 +145,63 @@ def _linked_blocks(spec: ModelSpec, theta):
                np.exp(spec.sigma_design[rows] @ gamma))
 
 
+def _exact_row_sums(blocks) -> list[float] | None:
+    """Correctly rounded sum of each row over an iterable of (rows, m) blocks.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): for a row p of m
+    terms and sigma = 2**(k + e), with max|p_i| < 2**e and 2**k >= m + 2,
+    q = (sigma + p) - sigma and p - q are exact, and so is sum(q) in any
+    order.  Each pass keeps sum(q) per row and leaves p - q, whose terms are
+    at most 2**(k - 53) times the previous maximum, until every row is zero.
+    One math.fsum of a row's few partial sums is then the correctly rounded
+    sum of its terms: equal to math.fsum over the row bit for bit, and
+    independent of the order of the terms and of the blocking.
+
+    The blocks are overwritten.  None, found before a block is modified, when
+    a block holds a non-finite term or one of magnitude at least _EXACT_MAX.
+    The caller then forms the terms again and sums whole rows with math.fsum,
+    so nan, inf and fsum's errors stay exactly as they are: a per-block fsum
+    would, for one, turn a row with nan and inf in one block and -inf in
+    another into nan, where fsum over the row raises ValueError.
+    """
+    partials = []
+    for block in blocks:
+        top = np.abs(block).max(axis=1)
+        if not np.all(top < _EXACT_MAX):  # nan fails too
+            return None
+        k = (block.shape[1] + 1).bit_length()  # ceil(log2(m + 2))
+        q = np.empty_like(block)
+        while top.any():
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + k)[:, None]
+            np.add(sigma, block, out=q)
+            q -= sigma
+            block -= q
+            partials.append(q.sum(axis=1))
+            top = np.abs(block, out=q).max(axis=1)
+        del block, q  # free both before the next block is formed
+    return [math.fsum(row) for row in np.reshape(partials, (-1, len(top))).T]
+
+
 def log_likelihood(spec: ModelSpec, theta) -> float:
     """Joint log-likelihood; -inf whenever a linked parameter overflows.
 
     Per-observation terms are the log of the median-parameterized density at
     (y_i, mu_i, sigma_i), computed in row blocks of ``_BLOCK`` observations.
-    The reduction uses exact summation (math.fsum), so the value is
+    Their sum is correctly rounded (``_exact_row_sums``), so the value is
     independent of observation order, and of the blocking, down to the last
     bit.
     """
-    terms = np.empty(spec.n_obs)
+    def blocks():
+        for _, y, mu, sigma in _linked_blocks(spec, theta):
+            yield median_tilted_logpdf(y, mu, sigma)[None]
+
     with np.errstate(all="ignore"):
-        for rows, y, mu, sigma in _linked_blocks(spec, theta):
-            terms[rows] = median_tilted_logpdf(y, mu, sigma)
+        sums = _exact_row_sums(blocks())
+        if sums is not None:
+            return sums[0]
+        # A non-finite or huge term: -inf, or the whole row by math.fsum.
+        terms = np.concatenate([t[0] for t in blocks()])
     if not np.all(np.isfinite(terms)):
         return -math.inf
     return math.fsum(memoryview(terms))
@@ -161,22 +212,29 @@ def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
 
     Chains the kernel's link-coordinate derivatives through the designs in
     row blocks of ``_BLOCK``: the score is (W'd_u, Z'd_v), the Hessian has the
-    blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one exact sum
-    (math.fsum), so both are independent of observation order and blocking.
+    blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly
+    rounded sum (``_exact_row_sums``, taken block by block), so both are
+    independent of observation order and blocking.
     """
     p1, p = spec.n_mu_coefs, spec.n_coefs
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
-    terms = np.empty((p + len(pairs), spec.n_obs))
-    with np.errstate(all="ignore"):
+
+    def blocks():
         for rows, y, mu, sigma in _linked_blocks(spec, theta):
             d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
             cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
+            terms = np.empty((p + len(pairs), y.size))
             for i in range(p):
-                np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i, rows])
+                np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i])
             for k, (i, j) in enumerate(pairs, start=p):
                 d = d_uu if j < p1 else d_uv if i < p1 else d_vv
-                np.multiply(cols[i] * cols[j], d, out=terms[k, rows])
-    sums = [math.fsum(memoryview(row)) for row in terms]
+                np.multiply(cols[i] * cols[j], d, out=terms[k])
+            yield terms
+
+    with np.errstate(all="ignore"):
+        sums = _exact_row_sums(blocks())
+        if sums is None:  # a non-finite or huge term: whole rows by math.fsum
+            sums = [math.fsum(memoryview(row)) for row in np.hstack(list(blocks()))]
     H = np.empty((p, p))
     for k, (i, j) in enumerate(pairs, start=p):
         H[i, j] = H[j, i] = sums[k]

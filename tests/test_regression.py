@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from tiltreg import (
@@ -17,7 +20,9 @@ from tiltreg import (
     wald_test,
 )
 from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
-from tiltreg.regression import _BLOCK, _score_and_hessian
+from tiltreg.regression import (
+    _BLOCK, _EXACT_MAX, _exact_row_sums, _score_and_hessian,
+)
 from tests.conftest import simulate_intercept_only
 
 
@@ -229,6 +234,144 @@ class TestRowBlocks:
             g_s, H_s = _score_and_hessian(s, theta)
             assert np.array_equal(g_s, score, equal_nan=True)
             assert np.array_equal(H_s, H, equal_nan=True)
+
+    @staticmethod
+    def with_extreme_rows(spec, covariates):
+        """Responses 1e308, where the link derivatives are about 4.6e307, at
+        the rows keyed in ``covariates``, whose two median covariates are set
+        to the given values: a covariate of 10 makes that row's terms infinite.
+        """
+        y, W = spec.response.copy(), spec.mu_design.copy()
+        for r, x in covariates.items():
+            y[r], W[r, 1:] = 1e308, x
+        return ModelSpec(response=y, mu_design=W, sigma_design=spec.sigma_design)
+
+    @staticmethod
+    def permuted(spec):
+        perm = np.random.default_rng(5).permutation(spec.n_obs)
+        return ModelSpec(response=spec.response[perm],
+                         mu_design=spec.mu_design[perm],
+                         sigma_design=spec.sigma_design[perm])
+
+    def test_one_block_with_an_infinite_term(self, spec):
+        # Only the second block holds infinite terms; its log-density term
+        # and other derivative terms there are finite but beyond _EXACT_MAX.
+        extreme = self.with_extreme_rows(spec, {_BLOCK + 100: (10.0, 0.0)})
+        theta = np.array([0.7, 0.0, 0.0, -0.4, 0.0])
+        ll, score, H = unblocked_loglik_score_and_hessian(extreme, theta)
+        assert np.isinf(score).any() and np.isinf(H).any() and math.isfinite(ll)
+        for s in (extreme, self.permuted(extreme)):
+            assert log_likelihood(s, theta) == ll
+            g_s, H_s = _score_and_hessian(s, theta)
+            assert np.array_equal(g_s, score, equal_nan=True)
+            assert np.array_equal(H_s, H, equal_nan=True)
+
+    def test_inf_minus_inf_raises_like_fsum(self, spec):
+        # Two rows in different blocks give +inf and -inf terms to the score
+        # entry of the second covariate and to Hessian entries.
+        extreme = self.with_extreme_rows(
+            spec, {10: (10.0, 10.0), 2 * _BLOCK + 10: (10.0, -10.0)})
+        theta = np.array([0.7, 0.0, 0.0, -0.4, 0.0])
+        with pytest.raises(ValueError, match="inf"):
+            unblocked_loglik_score_and_hessian(extreme, theta)
+        for s in (extreme, self.permuted(extreme)):
+            with pytest.raises(ValueError, match="inf"):
+                _score_and_hessian(s, theta)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        peaks = []
+        for n in (2 * _BLOCK, 12 * _BLOCK):
+            x = np.random.default_rng(7).normal(size=(n, 2))
+            spec = ModelSpec(
+                response=MedianTiltedExponential(2.0, 0.7).sample(n, seed=3),
+                mu_design=np.column_stack([np.ones(n), x[:, 0]]),
+                sigma_design=np.column_stack([np.ones(n), x[:, 1]]),
+            )
+            theta = np.array([0.7, 0.1, -0.4, 0.1])
+            _score_and_hessian(spec, theta)
+            tracemalloc.start()
+            try:
+                _score_and_hessian(spec, theta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+
+def column_blocks(rows, width):
+    """Copies of the consecutive column blocks of ``width`` of a 2-D array."""
+    return [rows[:, s:s + width].copy() for s in range(0, rows.shape[1], width)]
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def term_rows(draw):
+    """Rows of signed terms spread over a drawn exponent range (subnormals up
+    to about 2**1010), optionally with each term of the first half cancelled
+    by the second half exactly or to 1e-12 relative."""
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17]))
+    n_rows = draw(st.integers(1, 3))
+    lo = draw(st.integers(-1074, 1009))
+    hi = draw(st.integers(lo, min(lo + 200, 1009)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = (n_rows, n)
+    rows = (rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 2.0, size)
+            * np.ldexp(1.0, rng.integers(lo, hi + 1, size)))
+    cancel = draw(st.sampled_from([None, 0.0, 1e-12]))
+    if cancel is not None:
+        half = n // 2
+        rows[:, half:2 * half] = -rows[:, :half] * (1.0 + cancel)
+    return rows
+
+
+class TestExactRowSums:
+    """Error-free extraction equals math.fsum row by row, bit for bit."""
+
+    @staticmethod
+    def check(rows, width):
+        blocks = column_blocks(rows, width)
+        originals = [b.copy() for b in blocks]
+        sums = _exact_row_sums(iter(blocks))
+        refused = [bool(np.any(~(np.abs(b) < _EXACT_MAX))) for b in originals]
+        if not any(refused):
+            assert bits(sums) == bits(math.fsum(r) for r in rows)
+            return
+        # Refused before the first offending block is modified.
+        assert sums is None
+        first = refused.index(True)
+        for b, orig in zip(blocks[first:], originals[first:]):
+            assert np.array_equal(b, orig, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_rows(), st.sampled_from([_BLOCK, 1000, 1]))
+    def test_structured_rows(self, rows, width):
+        if width == 1:
+            rows = rows[:, :64]
+        self.check(rows, width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=60),
+           st.integers(1, 60))
+    def test_arbitrary_floats(self, values, width):
+        self.check(np.array([values]), width)
+
+    def test_all_zero_and_single_terms(self):
+        assert bits(_exact_row_sums(iter([np.zeros((2, 5))]))) == bits([0.0, 0.0])
+        assert bits(_exact_row_sums(iter([np.array([[-0.0], [5e-324]])]))) == \
+            bits([0.0, 5e-324])
+
+    @pytest.mark.parametrize("specials", [[math.nan], [math.inf],
+                                          [math.inf, -math.inf]])
+    def test_non_finite_row_refused_unmodified(self, specials):
+        # The caller then sums whole rows with math.fsum; TestRowBlocks checks
+        # the values and the ValueError that gives through the public path.
+        rows = np.random.default_rng(2).normal(size=(2, 3 * _BLOCK + 17))
+        rows[1, _BLOCK + 5:_BLOCK + 5 + len(specials)] = specials
+        self.check(rows, _BLOCK)
 
 
 # ---------------------------------------------------------------------------
