@@ -57,13 +57,8 @@ def qq_plot_data(residuals) -> np.ndarray:
     return np.column_stack([theo, np.sort(r)])
 
 
-def worm_plot_data(residuals) -> tuple[np.ndarray, np.ndarray]:
-    """De-trended QQ points plus pointwise 95% bands.
-
-    Returns ``(points, bands)``: points are (theoretical quantile, ordered
-    residual - theoretical quantile); bands are (lower, upper) limits
-    ``+/- 1.96 * sqrt(p(1-p)/n) / phi(z)`` at each plotting position.
-    """
+def _qq_and_worm(residuals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QQ points, worm points and bands of the residuals, from one sort."""
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 10:
         raise ValueError("worm plot needs at least 10 residuals")
@@ -74,7 +69,18 @@ def worm_plot_data(residuals) -> tuple[np.ndarray, np.ndarray]:
     phi = np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi)
     half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / phi
     bands = np.column_stack([-half, half])
-    return np.column_stack([theo, dev]), bands
+    return qq, np.column_stack([theo, dev]), bands
+
+
+def worm_plot_data(residuals) -> tuple[np.ndarray, np.ndarray]:
+    """De-trended QQ points plus pointwise 95% bands.
+
+    Returns ``(points, bands)``: points are (theoretical quantile, ordered
+    residual - theoretical quantile); bands are (lower, upper) limits
+    ``+/- 1.96 * sqrt(p(1-p)/n) / phi(z)`` at each plotting position.
+    """
+    _, points, bands = _qq_and_worm(residuals)
+    return points, bands
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class DiagnosticsReport:
 def build_report(residuals) -> DiagnosticsReport:
     """Assemble the full report; requires enough residuals for a worm plot."""
     r = np.asarray(residuals, dtype=float).ravel()
-    worm, bands = worm_plot_data(r)
+    qq, worm, bands = _qq_and_worm(r)
     # biased central-moment ratios (Fisher's skewness and excess kurtosis)
     d = r - np.mean(r)
     m2 = np.mean(d**2)
@@ -103,7 +109,7 @@ def build_report(residuals) -> DiagnosticsReport:
     }
     return DiagnosticsReport(
         residuals=r,
-        qq_points=qq_plot_data(r),
+        qq_points=qq,
         worm_points=worm,
         bands=bands,
         summary=summary,
@@ -117,10 +123,35 @@ def build_report(residuals) -> DiagnosticsReport:
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
+# Points are formatted and written this many at a time.
+_CHUNK = 8192
+# Integer and cent parts of the pixel texts 0.00 to 640.00.
+_UNITS = [str(i) for i in range(_W + 1)]
+_CENTS = [f".{c:02d}" for c in range(100)]
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _centi_text(v: np.ndarray) -> list[str]:
+    """``f"{x:.2f}"`` of each x in ``v``, built from integer centi-pixels.
+
+    For 0 <= x < 640 the product 100 x is within 2^-37 of its exact value,
+    so away from half-cent ties its nearest integer k is what the correctly
+    rounded ``.2f`` prints: the text is ``_UNITS[k // 100] + _CENTS[k % 100]``.
+    Values within 1e-6 of a tie, negative values (-0.0 too), values >= 640
+    and nan or inf are formatted with ``.2f`` itself.
+    """
+    c = 100.0 * v
+    k = np.rint(c)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
+        exact = ~np.signbit(v) & (v < _W) & (np.abs(c - k) < 0.5 - 1e-6)
+    units, cents = np.divmod(np.where(exact, k, 0.0).astype(np.intp), 100)
+    text = [_UNITS[u] + _CENTS[d] for u, d in zip(units.tolist(), cents.tolist())]
+    for i in np.flatnonzero(~exact).tolist():
+        text[i] = f"{float(v[i]):.2f}"
+    return text
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -203,10 +234,18 @@ def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> list[str]:
     return axes + labels
 
 
-def _pad_limits(values: np.ndarray) -> tuple[float, float]:
-    lo, hi = float(np.min(values)), float(np.max(values))
+def _pad_limits(*arrays: np.ndarray) -> tuple[float, float]:
+    lo = float(np.min([np.min(a) for a in arrays]))
+    hi = float(np.max([np.max(a) for a in arrays]))
     pad = 0.06 * (hi - lo) if hi > lo else max(0.5, abs(hi)) * 0.1
     return lo - pad, hi + pad
+
+
+def _pixel_text(canvas: _Canvas, xs: np.ndarray, ys: np.ndarray):
+    """Yield the (x, y) pixel texts of the points, ``_CHUNK`` at a time."""
+    for start in range(0, len(xs), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        yield _centi_text(canvas.x(xs[rows])), _centi_text(canvas.y(ys[rows]))
 
 
 def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
@@ -214,18 +253,21 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
 
     Points are circles, the reference (identity line for QQ, zero line plus
     dotted 95% bands for worm) is drawn beneath them.  Byte output is a pure
-    function of the report contents.  Elements are written to the file as
-    they are formatted; the whole document is never held in memory.
+    function of the report contents.  Every pixel coordinate is printed to
+    0.01 px, the ``.2f`` text built from its integer number of centi-pixels
+    (``_centi_text``).  Circles and band vertices are formatted and written
+    ``_CHUNK`` points at a time, so neither the document nor n-length lists
+    of strings are held in memory.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")
     if kind == "qq":
         pts, bands = report.qq_points, []
-        ylim = _pad_limits(np.concatenate([pts[:, 1], pts[:, 0]]))
+        ylim = _pad_limits(pts[:, 1], pts[:, 0])
         title, ylabel = "Normal QQ plot of quantile residuals", "Ordered residual"
     else:
         pts, bands = report.worm_points, [report.bands[:, 0], report.bands[:, 1]]
-        ylim = _pad_limits(np.concatenate([pts[:, 1], *bands]))
+        ylim = _pad_limits(pts[:, 1], *bands)
         title, ylabel = "Worm plot of quantile residuals", "Deviation"
     xlim = _pad_limits(pts[:, 0])
     canvas = _Canvas(xlim, ylim)
@@ -236,16 +278,6 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
         f'x2="{canvas.x(xlim[1]):.2f}" y2="{canvas.y(ref_y[1]):.2f}" '
         f'stroke="firebrick" stroke-width="1.5"/>'
     )
-    px = canvas.x(pts[:, 0]).tolist()
-    for band in bands:
-        coords = " ".join(
-            f"{tx:.2f},{b:.2f}" for tx, b in zip(px, canvas.y(band).tolist())
-        )
-        elements.append(
-            f'<polyline points="{coords}" fill="none" stroke="gray" '
-            f'stroke-width="1" stroke-dasharray="3,3"/>'
-        )
-    py = canvas.y(pts[:, 1]).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -253,9 +285,17 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
             f'fill="white"/>\n'
         )
         fh.writelines(f"{element}\n" for element in elements)
-        fh.writelines(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" '
-            f'r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'
-            for x, y in zip(px, py)
-        )
+        for band in bands:
+            sep = '<polyline points="'
+            for tx, ty in _pixel_text(canvas, pts[:, 0], band):
+                fh.write(sep + " ".join([f"{x},{y}" for x, y in zip(tx, ty)]))
+                sep = " "
+            fh.write('" fill="none" stroke="gray" '
+                     'stroke-width="1" stroke-dasharray="3,3"/>\n')
+        for tx, ty in _pixel_text(canvas, pts[:, 0], pts[:, 1]):
+            fh.write("".join([
+                f'<circle cx="{x}" cy="{y}" '
+                f'r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'
+                for x, y in zip(tx, ty)
+            ]))
         fh.write("</svg>\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -168,6 +169,25 @@ class TestFitCommand:
         assert (d1 / "model.json").read_bytes() == (d2 / "model.json").read_bytes()
         assert (d1 / "lime_qq.svg").read_bytes() == (d2 / "lime_qq.svg").read_bytes()
         assert (d1 / "lime_worm.svg").read_bytes() == (d2 / "lime_worm.svg").read_bytes()
+
+    def test_lime_plot_bytes_match_pinned_digests(self, tmp_path, lime_path, capsys):
+        """The lime ``fit --plots`` SVGs hash to the digests pinned here.
+
+        Every coordinate is printed to 0.01 px, so a last-bit libm
+        difference does not move these bytes.  A change that declares a
+        change of plot output must update the digests with it.
+        """
+        code, _ = run_fit(tmp_path, lime_path, ("--plots", str(tmp_path / "lime")))
+        assert code == 0
+        capsys.readouterr()
+        digests = {
+            kind: hashlib.sha256((tmp_path / f"lime_{kind}.svg").read_bytes()).hexdigest()
+            for kind in ("qq", "worm")
+        }
+        assert digests == {
+            "qq": "ffb34dbbcf1ab75870c1d6a09c3c429520617f09921cd52e07b3bae2e7e724ee",
+            "worm": "ef91bcd8c447b221f77e9c54ab8abb29cf78f9a5455e5887486716410470a257",
+        }
 
     def test_persistence_roundtrip_is_stable(self, tmp_path, lime_path):
         _, out = run_fit(tmp_path, lime_path)

@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kurtosis, norm, skew
 
 from tiltreg import (
@@ -17,13 +20,45 @@ from tiltreg import (
     render_svg,
     worm_plot_data,
 )
-from tiltreg.diagnostics import _Canvas, _pad_limits
+from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _pad_limits
 from tests.conftest import simulate_intercept_only
 
 
 def blom_positions(n):
     i = np.arange(1, n + 1)
     return (i - 0.375) / (n + 0.25)
+
+
+def assert_coordinates_match_per_point_map(report, tmp_path):
+    """Every circle and band vertex prints the ``.2f`` of its own pixel."""
+    qq, worm, bands = report.qq_points, report.worm_points, report.bands
+    n = qq.shape[0]
+    limits = {
+        "qq": (_pad_limits(qq[:, 0]),
+               _pad_limits(np.concatenate([qq[:, 1], qq[:, 0]]))),
+        "worm": (_pad_limits(worm[:, 0]),
+                 _pad_limits(np.concatenate([worm[:, 1], bands[:, 0],
+                                             bands[:, 1]]))),
+    }
+    for kind, pts in (("qq", qq), ("worm", worm)):
+        canvas = _Canvas(*limits[kind])
+        path = tmp_path / f"{kind}.svg"
+        render_svg(report, kind, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("</svg>\n")
+        root = ET.fromstring(text)
+        circles = [e for e in root.iter() if e.tag.endswith("circle")]
+        assert len(circles) == n
+        for e, (tx, ty) in zip(circles, pts.tolist()):
+            assert e.get("cx") == f"{canvas.x(tx):.2f}"
+            assert e.get("cy") == f"{canvas.y(ty):.2f}"
+        polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
+        for e, col in zip(polylines, (0, 1)):
+            assert e.get("points") == " ".join(
+                f"{canvas.x(tx):.2f},{canvas.y(b):.2f}"
+                for tx, b in zip(pts[:, 0].tolist(), bands[:, col].tolist())
+            )
+        assert len(polylines) == (2 if kind == "worm" else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +199,36 @@ class TestWormPlot:
 
 
 # ---------------------------------------------------------------------------
+# pixel text
+# ---------------------------------------------------------------------------
+
+def assert_centi_text_matches_format(values):
+    values = np.asarray(values, dtype=float)
+    assert _centi_text(values) == [f"{v:.2f}" for v in values.tolist()]
+
+
+class TestCentiText:
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(min_value=0.0, max_value=640.0), min_size=1,
+                    max_size=50))
+    def test_matches_format_on_the_canvas(self, values):
+        assert_centi_text_matches_format(values)
+
+    def test_every_half_cent_tie_and_its_neighbours(self):
+        ties = (np.arange(64000) + 0.5) / 100
+        assert_centi_text_matches_format(ties)
+        assert_centi_text_matches_format(np.nextafter(ties, -np.inf))
+        assert_centi_text_matches_format(np.nextafter(ties, np.inf))
+
+    def test_values_off_the_canvas(self):
+        assert_centi_text_matches_format([
+            -0.0, -1e-300, -0.004, -0.005, -0.006, -3.14159, 639.994999,
+            639.995, 639.996, 640.0, 640.004, 641.5, 1e6, 1e300,
+            np.nan, np.inf, -np.inf, 0.0, 5e-324,
+        ])
+
+
+# ---------------------------------------------------------------------------
 # report and SVG rendering
 # ---------------------------------------------------------------------------
 
@@ -185,6 +250,14 @@ class TestReportAndRendering:
             summary = build_report(r).summary
             assert summary["skewness"] == pytest.approx(skew(r), abs=1e-12)
             assert summary["excess_kurtosis"] == pytest.approx(kurtosis(r), abs=1e-12)
+
+    def test_report_points_equal_the_public_builders(self):
+        r = np.random.default_rng(16).standard_t(5, size=500)
+        report = build_report(r)
+        worm, bands = worm_plot_data(r)
+        assert report.qq_points.tobytes() == qq_plot_data(r).tobytes()
+        assert report.worm_points.tobytes() == worm.tobytes()
+        assert report.bands.tobytes() == bands.tobytes()
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # a fresh interpreter importing the same package as this test run
@@ -226,33 +299,28 @@ class TestReportAndRendering:
 
     def test_coordinates_match_per_point_map(self, tmp_path):
         report = build_report(np.random.default_rng(13).standard_t(5, size=3000))
-        qq, worm, bands = report.qq_points, report.worm_points, report.bands
-        limits = {
-            "qq": (_pad_limits(qq[:, 0]),
-                   _pad_limits(np.concatenate([qq[:, 1], qq[:, 0]]))),
-            "worm": (_pad_limits(worm[:, 0]),
-                     _pad_limits(np.concatenate([worm[:, 1], bands[:, 0],
-                                                 bands[:, 1]]))),
-        }
-        for kind, pts in (("qq", qq), ("worm", worm)):
-            canvas = _Canvas(*limits[kind])
-            path = tmp_path / f"{kind}.svg"
-            render_svg(report, kind, path)
-            text = path.read_text(encoding="utf-8")
-            assert text.endswith("</svg>\n")
-            root = ET.fromstring(text)
-            circles = [e for e in root.iter() if e.tag.endswith("circle")]
-            assert len(circles) == 3000
-            for e, (tx, ty) in zip(circles, pts.tolist()):
-                assert e.get("cx") == f"{canvas.x(tx):.2f}"
-                assert e.get("cy") == f"{canvas.y(ty):.2f}"
-            polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
-            for e, col in zip(polylines, (0, 1)):
-                assert e.get("points") == " ".join(
-                    f"{canvas.x(tx):.2f},{canvas.y(b):.2f}"
-                    for tx, b in zip(pts[:, 0].tolist(), bands[:, col].tolist())
-                )
-            assert len(polylines) == (2 if kind == "worm" else 0)
+        assert_coordinates_match_per_point_map(report, tmp_path)
+
+    def test_coordinates_match_across_chunk_boundaries(self, tmp_path):
+        # two full chunks and a partial one; rounded residuals give ties
+        r = np.random.default_rng(14).standard_t(5, size=2 * _CHUNK + 17)
+        r[::3] = np.round(r[::3], 1)
+        assert_coordinates_match_per_point_map(build_report(r), tmp_path)
+
+    def test_render_peak_memory_does_not_grow_with_n(self, tmp_path):
+        # the worm plot streams both the band vertices and the circles
+        path = tmp_path / "worm.svg"
+        peaks = []
+        for n in (2 * _CHUNK, 12 * _CHUNK):
+            report = build_report(np.random.default_rng(15).normal(size=n))
+            render_svg(report, "worm", path)
+            tracemalloc.start()
+            try:
+                render_svg(report, "worm", path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_invalid_kind(self, report, tmp_path):
         with pytest.raises(ValueError):
