@@ -13,10 +13,8 @@ from .data import (
 from .diagnostics import (
     DiagnosticsReport,
     build_report,
-    qq_plot_data,
     quantile_residuals,
     render_svg,
-    worm_plot_data,
 )
 from .errors import InferenceError, NumericalError, SpecificationError
 from .exponential import MedianTiltedExponential
@@ -26,9 +24,7 @@ from .regression import (
     ModelSpec,
     fit,
     log_likelihood,
-    observed_information,
-    predict_median,
-    predict_sigma,
+    predict,
     wald_test,
 )
 
@@ -51,12 +47,8 @@ __all__ = [
     "fit",
     "ingest_csv",
     "log_likelihood",
-    "observed_information",
-    "predict_median",
-    "predict_sigma",
-    "qq_plot_data",
+    "predict",
     "quantile_residuals",
     "render_svg",
     "wald_test",
-    "worm_plot_data",
 ]

@@ -31,7 +31,7 @@ from .diagnostics import build_report, quantile_residuals, render_svg
 from .errors import InferenceError, NumericalError, SpecificationError
 from .exponential import MedianTiltedExponential
 from .family import TiltedDistribution
-from .regression import FittedModel, ModelSpec, fit, predict_median, predict_sigma
+from .regression import FittedModel, ModelSpec, fit, predict
 
 _MODEL_FORMAT = "tiltreg-model"
 
@@ -60,8 +60,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--plots", metavar="PREFIX",
                        help="write PREFIX_qq.svg and PREFIX_worm.svg")
     p_fit.add_argument("--max-iter", type=int, default=500)
-    p_fit.add_argument("--tol", type=float, default=1e-6,
-                       help="gradient max-norm tolerance")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="fitted medians for new data")
@@ -206,7 +204,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         # non-convergence is reported through the exit code, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
-        model = fit(spec, max_iter=args.max_iter, grad_tol=args.tol)
+        model = fit(spec, max_iter=args.max_iter)
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(
@@ -243,8 +241,7 @@ def cmd_predict(args) -> int:
     table = table_from_schema(args.data, schema, require_response=False)
     _warn_dropped(table)
     W, Z, _, _ = design_matrices(table, schema)
-    medians = predict_median(model, W)
-    sigmas = predict_sigma(model, Z)
+    medians, sigmas = predict(model, W, Z)
     _write_lines(args.out, "median,sigma",
                  (f"{m!r},{s!r}" for m, s in zip(medians.tolist(), sigmas.tolist())))
     print(f"wrote {len(medians)} prediction(s) to {args.out}")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exponential import median_tilted_cdf
-from .regression import FittedModel, ModelSpec, predict_median, predict_sigma
+from .regression import FittedModel, ModelSpec, predict
 
 # Keeps Phi^{-1} finite: |residual| tops out near 8.
 _CDF_FLOOR = 1e-15
@@ -35,57 +35,22 @@ def quantile_residuals(fitted: FittedModel, spec: ModelSpec) -> np.ndarray:
             "computing quantile residuals from a non-converged fit",
             RuntimeWarning,
         )
-    mu = predict_median(fitted, spec.mu_design)
-    sigma = predict_sigma(fitted, spec.sigma_design)
+    mu, sigma = predict(fitted, spec.mu_design, spec.sigma_design)
     u = median_tilted_cdf(spec.response, mu, sigma)
     u = np.clip(u, _CDF_FLOOR, 1.0 - _CDF_FLOOR)
     return ndtri(u)
 
 
-def _plotting_positions(n: int) -> np.ndarray:
-    # Blom's rule, the standard choice for normal QQ plots.
-    i = np.arange(1, n + 1)
-    return (i - 0.375) / (n + 0.25)
-
-
-def qq_plot_data(residuals) -> np.ndarray:
-    """(n, 2) array of (theoretical normal quantile, ordered residual)."""
-    r = np.asarray(residuals, dtype=float).ravel()
-    if r.size < 2:
-        raise ValueError("QQ plot needs at least 2 residuals")
-    theo = ndtri(_plotting_positions(r.size))
-    return np.column_stack([theo, np.sort(r)])
-
-
-def _qq_and_worm(residuals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QQ points, worm points and bands of the residuals, from one sort."""
-    r = np.asarray(residuals, dtype=float).ravel()
-    if r.size < 10:
-        raise ValueError("worm plot needs at least 10 residuals")
-    qq = qq_plot_data(r)
-    theo = qq[:, 0]
-    dev = qq[:, 1] - theo
-    p = _plotting_positions(r.size)
-    phi = np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi)
-    half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / phi
-    bands = np.column_stack([-half, half])
-    return qq, np.column_stack([theo, dev]), bands
-
-
-def worm_plot_data(residuals) -> tuple[np.ndarray, np.ndarray]:
-    """De-trended QQ points plus pointwise 95% bands.
-
-    Returns ``(points, bands)``: points are (theoretical quantile, ordered
-    residual - theoretical quantile); bands are (lower, upper) limits
-    ``+/- 1.96 * sqrt(p(1-p)/n) / phi(z)`` at each plotting position.
-    """
-    _, points, bands = _qq_and_worm(residuals)
-    return points, bands
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Residuals with their QQ/worm renderings and moment summary."""
+    """Residuals with their QQ/worm renderings and moment summary.
+
+    At the i-th of n Blom plotting positions p_i = (i - 3/8) / (n + 1/4),
+    with theoretical normal quantile z_i: ``qq_points`` are (z_i, i-th
+    ordered residual), ``worm_points`` are (z_i, ordered residual - z_i), and
+    ``bands`` are the worm plot's pointwise 95% limits (lower, upper)
+    ``-/+ 1.96 sqrt(p_i (1 - p_i) / n) / phi(z_i)``.
+    """
 
     residuals: np.ndarray
     qq_points: np.ndarray
@@ -97,7 +62,15 @@ class DiagnosticsReport:
 def build_report(residuals) -> DiagnosticsReport:
     """Assemble the full report; requires enough residuals for a worm plot."""
     r = np.asarray(residuals, dtype=float).ravel()
-    qq, worm, bands = _qq_and_worm(r)
+    if r.size < 10:
+        raise ValueError("worm plot needs at least 10 residuals")
+    p = (np.arange(1, r.size + 1) - 0.375) / (r.size + 0.25)
+    qq = np.column_stack([ndtri(p), np.sort(r)])
+    theo = qq[:, 0]
+    half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / (
+        np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi))  # 1.96 se / phi(theo)
+    bands = np.column_stack([-half, half])
+    worm = np.column_stack([theo, qq[:, 1] - theo])
     # biased central-moment ratios (Fisher's skewness and excess kurtosis)
     d = r - np.mean(r)
     m2 = np.mean(d**2)

@@ -37,7 +37,8 @@ _BLOCK = 8192
 # OverflowError where the other does not.
 _EXACT_MAX = 2.0 ** 960
 _RANK_RTOL = 1e-10
-# Relative log-likelihood change below which the Newton loop may stop.
+# Newton stopping rule: score max-norm, relative log-likelihood change.
+_GRAD_TOL = 1e-6
 _LL_TOL = 1e-10
 
 
@@ -183,8 +184,17 @@ def _exact_row_sums(blocks) -> list[float] | None:
     return [math.fsum(row) for row in np.reshape(partials, (-1, len(top))).T]
 
 
+def _fsum(row) -> float:
+    """math.fsum of a row, or nan where fsum raises: for inf and -inf terms
+    (ValueError) or a running sum beyond the float range (OverflowError)."""
+    try:
+        return math.fsum(row)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def log_likelihood(spec: ModelSpec, theta) -> float:
-    """Joint log-likelihood; -inf whenever a linked parameter overflows.
+    """Joint log-likelihood; -inf whenever it, or any term, is not finite.
 
     Per-observation terms are the log of the median-parameterized density at
     (y_i, mu_i, sigma_i), computed in row blocks of ``_BLOCK`` observations.
@@ -200,11 +210,9 @@ def log_likelihood(spec: ModelSpec, theta) -> float:
         sums = _exact_row_sums(blocks())
         if sums is not None:
             return sums[0]
-        # A non-finite or huge term: -inf, or the whole row by math.fsum.
-        terms = np.concatenate([t[0] for t in blocks()])
-    if not np.all(np.isfinite(terms)):
-        return -math.inf
-    return math.fsum(memoryview(terms))
+        # A non-finite or huge term: the whole row by math.fsum.
+        total = _fsum(memoryview(np.concatenate([t[0] for t in blocks()])))
+    return total if math.isfinite(total) else -math.inf
 
 
 def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +222,8 @@ def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
     row blocks of ``_BLOCK``: the score is (W'd_u, Z'd_v), the Hessian has the
     blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly
     rounded sum (``_exact_row_sums``, taken block by block), so both are
-    independent of observation order and blocking.
+    independent of observation order and blocking.  An entry whose terms
+    hold inf and -inf, or whose sum overflows, is nan (``_fsum``).
     """
     p1, p = spec.n_mu_coefs, spec.n_coefs
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
@@ -234,7 +243,7 @@ def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         sums = _exact_row_sums(blocks())
         if sums is None:  # a non-finite or huge term: whole rows by math.fsum
-            sums = [math.fsum(memoryview(row)) for row in np.hstack(list(blocks()))]
+            sums = [_fsum(memoryview(row)) for row in np.hstack(list(blocks()))]
     H = np.empty((p, p))
     for k, (i, j) in enumerate(pairs, start=p):
         H[i, j] = H[j, i] = sums[k]
@@ -270,19 +279,6 @@ def _information_inverse(J: np.ndarray) -> np.ndarray:
             "not a proper maximum or the likelihood is flat along a direction"
         )
     return 0.5 * (J_inv + J_inv.T)
-
-
-def observed_information(spec: ModelSpec, theta_hat) -> tuple[np.ndarray, np.ndarray]:
-    """Observed information J = -Hessian(loglik) and its inverse at theta_hat.
-
-    The Hessian is the analytic one of ``fit``'s derivative pass, and J is
-    inverted through its Cholesky factor; failure of the factorization means
-    theta_hat is not a proper maximum (or the likelihood is flat along some
-    direction), reported as an InferenceError rather than garbage covariances.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float).ravel()
-    J = -_score_and_hessian(spec, theta_hat)[1]
-    return J, _information_inverse(J)
 
 
 def _two_sided_p(z: float) -> float:
@@ -342,18 +338,18 @@ def _initial_theta(spec: ModelSpec) -> np.ndarray:
     return theta0
 
 
-def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
-        ) -> FittedModel:
+def fit(spec: ModelSpec, max_iter: int = 500) -> FittedModel:
     """Maximize the log-likelihood and package estimates with inference.
 
     One damped Newton loop from ``_initial_theta``: each iteration solves
     J step = score with the observed information J = -H from one derivative
     pass, shifting J's diagonal where its Cholesky fails, and halves the step
     until the log-likelihood does not fall.  The loop stops once the score's
-    max-norm is below ``grad_tol`` and the relative log-likelihood change is
-    below 1e-10.  The standard errors use the J of the last iterate.  When
-    the budget of ``max_iter`` iterations runs out first, the model is
-    returned with ``converged=False`` instead of raising.
+    max-norm is below ``_GRAD_TOL`` and the relative log-likelihood change
+    below ``_LL_TOL``.  The standard errors use the inverse of the last
+    iterate's J (InferenceError if a converged J is not positive definite).
+    When ``max_iter`` iterations run out first, or no step can be taken, the
+    model is returned with ``converged=False`` instead of raising.
     """
     theta = _initial_theta(spec)
     ll = log_likelihood(spec, theta)
@@ -366,7 +362,7 @@ def fit(spec: ModelSpec, max_iter: int = 500, grad_tol: float = 1e-6
     g, H = _score_and_hessian(spec, theta)
     gnorm = float(np.max(np.abs(g)))
     while True:
-        if gnorm < grad_tol and rel_change < _LL_TOL:
+        if gnorm < _GRAD_TOL and rel_change < _LL_TOL:
             converged = True
             break
         if iterations >= max_iter:
@@ -427,22 +423,15 @@ def wald_test(fitted: FittedModel, j: int, theta0: float = 0.0) -> tuple[float, 
     return z, _two_sided_p(z)
 
 
-def predict_median(fitted: FittedModel, new_mu_design) -> np.ndarray:
-    """Fitted medians exp(W alpha_hat) for new median-design rows."""
-    W = _as_matrix(new_mu_design, "new_mu_design")
-    if W.shape[1] != fitted.n_mu_coefs:
-        raise SpecificationError(
-            f"expected {fitted.n_mu_coefs} median-design columns, got {W.shape[1]}"
-        )
-    return np.exp(W @ fitted.mu_coefs)
-
-
-def predict_sigma(fitted: FittedModel, new_sigma_design) -> np.ndarray:
-    """Fitted shape parameters exp(Z gamma_hat) for new shape-design rows."""
-    Z = _as_matrix(new_sigma_design, "new_sigma_design")
-    p2 = fitted.theta_hat.size - fitted.n_mu_coefs
-    if Z.shape[1] != p2:
-        raise SpecificationError(
-            f"expected {p2} shape-design columns, got {Z.shape[1]}"
-        )
-    return np.exp(Z @ fitted.sigma_coefs)
+def predict(fitted: FittedModel, mu_design, sigma_design
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted medians exp(W alpha_hat) and shapes exp(Z gamma_hat) of rows W, Z."""
+    W = _as_matrix(mu_design, "new_mu_design")
+    Z = _as_matrix(sigma_design, "new_sigma_design")
+    for m, coefs, label in ((W, fitted.mu_coefs, "median"),
+                            (Z, fitted.sigma_coefs, "shape")):
+        if m.shape[1] != coefs.size:
+            raise SpecificationError(
+                f"expected {coefs.size} {label}-design columns, got {m.shape[1]}"
+            )
+    return np.exp(W @ fitted.mu_coefs), np.exp(Z @ fitted.sigma_coefs)

@@ -16,9 +16,9 @@ from tiltreg import (
     ExponentialBaseline,
     MedianTiltedExponential,
     TiltedDistribution,
+    build_report,
     fit,
     quantile_residuals,
-    worm_plot_data,
 )
 from tiltreg.cli import main
 from tests.conftest import simulate_intercept_only
@@ -260,7 +260,8 @@ def test_criterion_10_residual_calibration():
     spec = simulate_intercept_only(10**4, 3.0, 0.5, seed=880001)
     model = fit(spec)
     r = quantile_residuals(model, spec)
-    pts, bands = worm_plot_data(r)
+    diag = build_report(r)
+    pts, bands = diag.worm_points, diag.bands
     inside = float(np.mean((pts[:, 1] >= bands[:, 0]) & (pts[:, 1] <= bands[:, 1])))
     mean = float(np.mean(r))
     var = float(np.var(r, ddof=1))

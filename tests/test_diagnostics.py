@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,10 +16,8 @@ from tiltreg import (
     ModelSpec,
     build_report,
     fit,
-    qq_plot_data,
     quantile_residuals,
     render_svg,
-    worm_plot_data,
 )
 from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _pad_limits
 from tests.conftest import simulate_intercept_only
@@ -130,53 +129,48 @@ class TestQuantileResiduals:
         assert abs(skew(r)) < 0.1
         assert abs(kurtosis(r)) < 0.2
 
+    def test_lime_residuals_are_unchanged(self, lime_spec, lime_fit):
+        # the lime residuals, pinned to the last bit by a digest of their bytes
+        r = quantile_residuals(lime_fit, lime_spec)
+        assert hashlib.sha256(r.tobytes()).hexdigest() == (
+            "26ac49b26b206572c2658605a4d04297069a8529cec2f940a740de001da61eba")
+
 
 # ---------------------------------------------------------------------------
-# QQ plot data
+# QQ plot points of the report
 # ---------------------------------------------------------------------------
 
 class TestQQPlot:
     def test_identity_for_blom_quantiles(self):
         n = 40
         r = norm.ppf(blom_positions(n))
-        pts = qq_plot_data(np.random.default_rng(0).permutation(r))
+        pts = build_report(np.random.default_rng(0).permutation(r)).qq_points
         assert np.allclose(pts[:, 0], pts[:, 1], atol=1e-12)
 
-    def test_two_point_symmetry(self):
-        pts = qq_plot_data(np.array([1.0, -1.0]))
-        assert pts[0, 0] == pytest.approx(-pts[1, 0], abs=1e-14)
-        assert pts[0, 1] == -1.0 and pts[1, 1] == 1.0
-
     def test_sorted_by_theoretical_quantile(self):
-        pts = qq_plot_data(np.random.default_rng(1).normal(size=75))
+        pts = build_report(np.random.default_rng(1).normal(size=75)).qq_points
         assert np.all(np.diff(pts[:, 0]) > 0)
         assert np.all(np.diff(pts[:, 1]) >= 0)
 
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            qq_plot_data(np.array([0.5]))
-
 
 # ---------------------------------------------------------------------------
-# worm plot data
+# worm plot points and bands of the report
 # ---------------------------------------------------------------------------
 
 class TestWormPlot:
     def test_detrending_identity(self):
-        r = np.random.default_rng(2).normal(size=60)
-        qq = qq_plot_data(r)
-        pts, _ = worm_plot_data(r)
+        report = build_report(np.random.default_rng(2).normal(size=60))
+        pts, qq = report.worm_points, report.qq_points
         assert np.allclose(pts[:, 1] + pts[:, 0], qq[:, 1], atol=1e-14)
 
     def test_zero_deviation_for_blom_quantiles(self):
-        r = norm.ppf(blom_positions(30))
-        pts, _ = worm_plot_data(r)
+        pts = build_report(norm.ppf(blom_positions(30))).worm_points
         assert np.max(np.abs(pts[:, 1])) < 1e-12
 
     def test_band_formula(self):
         n = 50
         r = np.random.default_rng(3).normal(size=n)
-        _, bands = worm_plot_data(r)
+        bands = build_report(r).bands
         p = blom_positions(n)
         z = norm.ppf(p)
         half = 1.96 * np.sqrt(p * (1 - p) / n) / norm.pdf(z)
@@ -187,15 +181,15 @@ class TestWormPlot:
         # compare the middle plotting position across a 4x sample-size jump
         r1 = np.random.default_rng(4).normal(size=101)
         r2 = np.random.default_rng(5).normal(size=404)
-        _, b1 = worm_plot_data(r1)
-        _, b2 = worm_plot_data(r2)
+        b1 = build_report(r1).bands
+        b2 = build_report(r2).bands
         mid1 = b1[50, 1]
         mid2 = b2[201, 1]
         assert mid1 / mid2 == pytest.approx(2.0, rel=0.05)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            worm_plot_data(np.arange(5, dtype=float))
+            build_report(np.arange(9, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +245,15 @@ class TestReportAndRendering:
             assert summary["skewness"] == pytest.approx(skew(r), abs=1e-12)
             assert summary["excess_kurtosis"] == pytest.approx(kurtosis(r), abs=1e-12)
 
-    def test_report_points_equal_the_public_builders(self):
+    def test_report_points_share_one_sort(self):
+        # the ordered residuals themselves, not the deviations plus quantiles
         r = np.random.default_rng(16).standard_t(5, size=500)
         report = build_report(r)
-        worm, bands = worm_plot_data(r)
-        assert report.qq_points.tobytes() == qq_plot_data(r).tobytes()
-        assert report.worm_points.tobytes() == worm.tobytes()
-        assert report.bands.tobytes() == bands.tobytes()
+        qq, worm = report.qq_points, report.worm_points
+        assert qq[:, 1].tobytes() == np.sort(r).tobytes()
+        assert worm[:, 0].tobytes() == qq[:, 0].tobytes()
+        assert worm[:, 1].tobytes() == (qq[:, 1] - qq[:, 0]).tobytes()
+        assert report.bands[:, 0].tobytes() == (-report.bands[:, 1]).tobytes()
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # a fresh interpreter importing the same package as this test run
@@ -332,13 +328,14 @@ class TestReportAndRendering:
 
     def test_lime_residuals_track_normal_line(self, lime_spec, lime_fit):
         r = quantile_residuals(lime_fit, lime_spec)
-        pts = qq_plot_data(r)
+        pts = build_report(r).qq_points
         middle = slice(int(0.1 * len(r)), int(0.9 * len(r)))
         gap = np.abs(pts[middle, 1] - pts[middle, 0])
         assert np.percentile(gap, 90) < 0.35
 
     def test_lime_worm_mostly_inside_bands(self, lime_spec, lime_fit):
         r = quantile_residuals(lime_fit, lime_spec)
-        pts, bands = worm_plot_data(r)
+        report = build_report(r)
+        pts, bands = report.worm_points, report.bands
         inside = np.mean((pts[:, 1] >= bands[:, 0]) & (pts[:, 1] <= bands[:, 1]))
         assert inside >= 0.95

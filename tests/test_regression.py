@@ -15,13 +15,12 @@ from tiltreg import (
     SpecificationError,
     fit,
     log_likelihood,
-    observed_information,
-    predict_median,
+    predict,
     wald_test,
 )
 from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
 from tiltreg.regression import (
-    _BLOCK, _EXACT_MAX, _exact_row_sums, _score_and_hessian,
+    _BLOCK, _EXACT_MAX, _exact_row_sums, _information_inverse, _score_and_hessian,
 )
 from tests.conftest import simulate_intercept_only
 
@@ -151,6 +150,16 @@ class TestLogLikelihood:
         # sigma = e^-1000 underflows to 0
         assert log_likelihood(spec, np.array([0.0, -1000.0])) == -math.inf
 
+    def test_overflowing_sum_returns_minus_inf(self):
+        # each 1e308 response has a finite log-density of about -4.6e307, and
+        # four of them sum below -1.8e308, where math.fsum raises OverflowError
+        spec = intercept_spec([1.0, 2.0, 3.0] + [1e308] * 4 + [1.5])
+        theta = np.array([0.7, -0.4])
+        with pytest.raises(OverflowError):
+            math.fsum(median_tilted_logpdf(spec.response, math.exp(0.7),
+                                           math.exp(-0.4)).tolist())
+        assert log_likelihood(spec, theta) == -math.inf
+
     def test_vanishing_sigma_reaches_exponential_limit(self):
         # sigma = e^-700 ~ 1e-304: beta ~ 1010, so f(y) = log 2 e^(-y log 2) at mu = 1
         spec = intercept_spec([1.0, 2.0, 3.0])
@@ -178,8 +187,16 @@ class TestLogLikelihood:
         assert log_likelihood(spec, theta) == log_likelihood(shuffled, theta)
 
 
+def fsum_or_nan(values):
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def unblocked_loglik_score_and_hessian(spec, theta):
-    """log_likelihood and the derivative pass as whole-array expressions."""
+    """log_likelihood and the derivative pass as whole-array expressions; an
+    entry for which math.fsum raises is nan."""
     alpha, gamma = spec.split(theta)
     p1, p = spec.n_mu_coefs, spec.n_coefs
     X = np.hstack([spec.mu_design, spec.sigma_design])
@@ -193,11 +210,11 @@ def unblocked_loglik_score_and_hessian(spec, theta):
         hess = {(i, j): X[:, i] * X[:, j] * (d_uu if j < p1 else d_uv if i < p1
                                              else d_vv)
                 for i in range(p) for j in range(i, p)}
-    ll = math.fsum(terms.tolist()) if np.all(np.isfinite(terms)) else -math.inf
+    ll = fsum_or_nan(terms.tolist()) if np.all(np.isfinite(terms)) else -math.inf
     H = np.empty((p, p))
     for (i, j), t in hess.items():
-        H[i, j] = H[j, i] = math.fsum(t.tolist())
-    return ll, np.array([math.fsum(t.tolist()) for t in score]), H
+        H[i, j] = H[j, i] = fsum_or_nan(t.tolist())
+    return ll, np.array([fsum_or_nan(t.tolist()) for t in score]), H
 
 
 class TestRowBlocks:
@@ -266,17 +283,26 @@ class TestRowBlocks:
             assert np.array_equal(g_s, score, equal_nan=True)
             assert np.array_equal(H_s, H, equal_nan=True)
 
-    def test_inf_minus_inf_raises_like_fsum(self, spec):
+    def test_inf_minus_inf_gives_nan_and_an_unconverged_fit(self, spec):
         # Two rows in different blocks give +inf and -inf terms to the score
-        # entry of the second covariate and to Hessian entries.
+        # entry of the second covariate and to Hessian entries, where
+        # math.fsum raises ValueError: those entries are nan.
         extreme = self.with_extreme_rows(
             spec, {10: (10.0, 10.0), 2 * _BLOCK + 10: (10.0, -10.0)})
         theta = np.array([0.7, 0.0, 0.0, -0.4, 0.0])
-        with pytest.raises(ValueError, match="inf"):
-            unblocked_loglik_score_and_hessian(extreme, theta)
+        ll, score, H = unblocked_loglik_score_and_hessian(extreme, theta)
+        assert np.isnan(score[2]) and np.isnan(H[2]).sum() == 3
+        assert np.isinf(H[1, 1]) and math.isfinite(ll)
         for s in (extreme, self.permuted(extreme)):
-            with pytest.raises(ValueError, match="inf"):
-                _score_and_hessian(s, theta)
+            assert log_likelihood(s, theta) == ll
+            g_s, H_s = _score_and_hessian(s, theta)
+            assert np.array_equal(g_s, score, equal_nan=True)
+            assert np.array_equal(H_s, H, equal_nan=True)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            model = fit(extreme)
+        assert not model.converged and model.iterations == 0
+        assert np.isnan(model.gradient_max_norm)
+        assert np.all(np.isnan(model.info_inverse))
 
     def test_peak_memory_does_not_grow_with_n(self):
         peaks = []
@@ -416,7 +442,9 @@ class TestDerivatives:
 
     def test_observed_information_symmetric_and_cross_checked(self, lime_spec,
                                                               lime_fit):
-        J, J_inv = observed_information(lime_spec, lime_fit.theta_hat)
+        # J as fit forms it, and the inverse the fitted model carries
+        J = -_score_and_hessian(lime_spec, lime_fit.theta_hat)[1]
+        J_inv = lime_fit.info_inverse
         assert np.max(np.abs(J - J.T)) < 1e-8
         # independent route: four-point second differences of the likelihood
         H = four_point_hessian(lambda t: log_likelihood(lime_spec, t),
@@ -431,14 +459,17 @@ class TestDerivatives:
             mu_design=lime_spec.mu_design[perm],
             sigma_design=lime_spec.sigma_design[perm],
         )
-        J, _ = observed_information(lime_spec, lime_fit.theta_hat)
-        J_shuffled, _ = observed_information(shuffled, lime_fit.theta_hat)
+        J = _score_and_hessian(lime_spec, lime_fit.theta_hat)[1]
+        J_shuffled = _score_and_hessian(shuffled, lime_fit.theta_hat)[1]
         assert np.array_equal(J, J_shuffled)
+        assert np.array_equal(_information_inverse(-J),
+                              _information_inverse(-J_shuffled))
 
     def test_information_rejects_saddle(self):
         spec = simulate_intercept_only(200, 3.0, 0.5, seed=11)
-        with pytest.raises(InferenceError):
-            observed_information(spec, np.array([5.0, 3.0]))
+        H = _score_and_hessian(spec, np.array([5.0, 3.0]))[1]
+        with pytest.raises(InferenceError, match="not positive definite"):
+            _information_inverse(-H)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +544,8 @@ class TestFit:
             [np.ones(n), age * 10.0]), sigma_design=Z))
         assert scaled.theta_hat[1] == pytest.approx(base.theta_hat[1] / 10.0,
                                                     abs=1e-6)
-        med_base = predict_median(base, W)
-        med_scaled = predict_median(scaled, np.column_stack([np.ones(n), age * 10.0]))
+        med_base = predict(base, W, Z)[0]
+        med_scaled = predict(scaled, np.column_stack([np.ones(n), age * 10.0]), Z)[0]
         assert np.max(np.abs(med_base - med_scaled)) < 1e-8
 
     def test_nonconvergence_flagged_not_raised(self):
@@ -603,19 +634,32 @@ class TestWald:
 
 class TestPredictMedian:
     def test_training_row_is_exp_linear_predictor(self, lime_spec, lime_fit):
-        W = lime_spec.mu_design
-        med = predict_median(lime_fit, W)
+        W, Z = lime_spec.mu_design, lime_spec.sigma_design
+        med, sigma = predict(lime_fit, W, Z)
         assert np.allclose(med, np.exp(W @ lime_fit.mu_coefs), rtol=1e-15)
+        assert np.allclose(sigma, np.exp(Z @ lime_fit.sigma_coefs), rtol=1e-15)
 
     def test_dimension_mismatch(self, lime_fit):
-        with pytest.raises(SpecificationError):
-            predict_median(lime_fit, np.ones((3, 2)))
+        with pytest.raises(SpecificationError,
+                           match="expected 4 median-design columns, got 2"):
+            predict(lime_fit, np.ones((3, 2)), np.ones((3, 1)))
+        with pytest.raises(SpecificationError,
+                           match="expected 1 shape-design columns, got 2"):
+            predict(lime_fit, np.ones((3, 4)), np.ones((3, 2)))
+
+    def test_designs_must_be_matrices(self, lime_fit):
+        with pytest.raises(SpecificationError, match="new_mu_design must be"):
+            predict(lime_fit, np.ones((3, 4, 1)), np.ones((3, 1)))
+        with pytest.raises(SpecificationError, match="new_sigma_design must be"):
+            predict(lime_fit, np.ones((3, 4)), np.ones((3, 1, 1)))
 
     def test_age_effect_multiplier(self, lime_fit):
         # +10 years of age multiplies the fitted median by exp(10 * slope)
         base = np.array([[1.0, 20.0, 0.0, 0.0]])
         older = np.array([[1.0, 30.0, 0.0, 0.0]])
-        ratio = predict_median(lime_fit, older)[0] / predict_median(lime_fit, base)[0]
+        shape = np.ones((1, 1))
+        ratio = (predict(lime_fit, older, shape)[0][0]
+                 / predict(lime_fit, base, shape)[0][0])
         assert ratio == pytest.approx(math.exp(10.0 * lime_fit.theta_hat[1]),
                                       rel=1e-12)
         assert 1.40 <= ratio <= 1.44
