@@ -10,10 +10,14 @@ with density
 
 The tilt factor ``exp(-Gbar**beta)`` equals the survival function of a
 unit-scale Weibull with shape ``beta`` evaluated at ``Gbar(x)``; it thins the
-lower tail of the baseline.  Its upper tail is S = 1 - F ~ Gbar + Gbar**beta:
-the baseline's for beta > 1, a heavier one, ~ Gbar**beta, for beta < 1.  Quantiles,
-sampling and moments route through a unit-interval auxiliary variable with
-CDF ``y * exp(-(1-y)**beta)``: if ``Y`` follows that law, ``G^{-1}(Y)``
+lower tail of the baseline.  F is the law of max(X1, X2) for independent
+X1 ~ G and X2 with CDF exp(-Gbar(x)**beta), that is Gbar(X2)**beta unit
+exponential: P(X > x) = 1 - P(Gbar(X1) <= Gbar) P(Gbar(X2) <= Gbar).  This
+identity explains the upper tail S = 1 - F ~ Gbar + Gbar**beta, the sum of the
+two survivals: the baseline's for beta > 1, a heavier one, ~ Gbar**beta, for
+beta < 1.  ``sample`` draws the maximum directly.  Quantiles and moments
+route through a unit-interval auxiliary variable with CDF
+``y * exp(-(1-y)**beta)``: if ``Y`` follows that law, ``G^{-1}(Y)``
 follows ``F``.  They work in ``s = -log(1-Y)``, so no upper-tail ``Y`` rounds
 to 1, and a moment E[X^p] is an expectation over ``s`` taken by
 double-exponential quadrature; it is finite iff the integral of
@@ -219,13 +223,25 @@ class TiltedDistribution:
         return _scalar_like(np.asarray(self.baseline.quantile_from_log_sf(-s)), p)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n inverse-transform draws, deterministic for a given seed."""
+        """n draws from F by the max identity, deterministic for a given seed.
+
+        log Gbar(X) = min(log U, log(E)/beta) for U uniform and E unit
+        exponential (module docstring), and one baseline call maps it to x:
+        no root is solved.  Where E >= 1, X2 sits at the bottom of the
+        support and the minimum is log U.
+        """
         if n < 1:
             raise ValueError("n must be at least 1")
         rng = np.random.default_rng(seed)
         u = rng.uniform(size=n)
-        u[u == 0.0] = 1e-300  # keep inside the quantile domain
-        return self.quantile(u)
+        e = rng.standard_exponential(n)
+        u[u == 0.0] = 1e-300  # keep both logs finite
+        e[e == 0.0] = 1e-300
+        # log U and log(E)/beta in place: no n-sized temporary beyond u and e
+        np.log(u, out=u)
+        np.log(e, out=e)
+        e /= self.beta
+        return np.asarray(self.baseline.quantile_from_log_sf(np.minimum(u, e, out=u)))
 
     # -- mode ------------------------------------------------------------
 

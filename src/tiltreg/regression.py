@@ -434,4 +434,8 @@ def predict(fitted: FittedModel, mu_design, sigma_design
             raise SpecificationError(
                 f"expected {coefs.size} {label}-design columns, got {m.shape[1]}"
             )
+    if W.shape[0] != Z.shape[0]:
+        raise SpecificationError(
+            f"median and shape designs have {W.shape[0]} and {Z.shape[0]} rows"
+        )
     return np.exp(W @ fitted.mu_coefs), np.exp(Z @ fitted.sigma_coefs)

@@ -388,6 +388,39 @@ class TestSampling:
         with pytest.raises(ValueError):
             tilted().sample(0, seed=1)
 
+    @pytest.mark.parametrize("make, seed", [
+        (lambda: tilted(1.0, 0.1), 6021),
+        (lambda: tilted(1.0, 1.0), 6022),
+        (lambda: tilted(1.0, 20.0), 6023),
+        (lambda: TiltedDistribution(_LogLogistic(2.5, 3.0), 0.4), 6024),
+    ], ids=["exp-beta0.1", "exp-beta1", "exp-beta20", "loglogistic-beta0.4"])
+    def test_max_identity_matches_cdf(self, make, seed):
+        # draws of max(X1, X2) against F = G exp(-Gbar^beta) at the
+        # Kolmogorov level-1e-6 critical value
+        d, n = make(), 10**6
+        F = np.asarray(d.cdf(np.sort(d.sample(n, seed=seed))))
+        i = np.arange(1, n + 1) / n
+        stat = math.sqrt(n) * max(np.max(i - F), np.max(F - (i - 1.0 / n)))
+        assert stat < math.sqrt(-math.log(0.5e-6) / 2.0)
+
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 50.0])
+    def test_zero_variates_give_finite_positive_draws(self, monkeypatch, beta):
+        # zeros in U alone, in E alone and in both, next to ordinary values
+        u = np.array([0.0, 0.0, 0.5, 0.999, 0.0])
+        e = np.array([0.0, 3.0, 0.0, 0.2, 40.0])
+
+        class ZeroStream:
+            def uniform(self, size):
+                return u.copy()
+
+            def standard_exponential(self, size):
+                return e.copy()
+
+        monkeypatch.setattr(family.np.random, "default_rng", lambda seed: ZeroStream())
+        x = tilted(1.0, beta).sample(u.size, seed=0)
+        assert x.shape == u.shape
+        assert np.all(np.isfinite(x) & (x > 0))
+
 
 # ---------------------------------------------------------------------------
 # mode

@@ -647,6 +647,11 @@ class TestPredictMedian:
                            match="expected 1 shape-design columns, got 2"):
             predict(lime_fit, np.ones((3, 4)), np.ones((3, 2)))
 
+    def test_row_count_mismatch(self, lime_fit):
+        with pytest.raises(SpecificationError,
+                           match="median and shape designs have 3 and 5 rows"):
+            predict(lime_fit, np.ones((3, 4)), np.ones((5, 1)))
+
     def test_designs_must_be_matrices(self, lime_fit):
         with pytest.raises(SpecificationError, match="new_mu_design must be"):
             predict(lime_fit, np.ones((3, 4, 1)), np.ones((3, 1)))
