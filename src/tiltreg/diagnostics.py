@@ -60,10 +60,12 @@ class DiagnosticsReport:
 
 
 def build_report(residuals) -> DiagnosticsReport:
-    """Assemble the full report; requires enough residuals for a worm plot."""
+    """Assemble the full report; requires enough finite residuals for a worm plot."""
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 10:
         raise ValueError("worm plot needs at least 10 residuals")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals must be finite")
     p = (np.arange(1, r.size + 1) - 0.375) / (r.size + 0.25)
     qq = np.column_stack([ndtri(p), np.sort(r)])
     theo = qq[:, 0]
@@ -98,33 +100,50 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 # Points are formatted and written this many at a time.
 _CHUNK = 8192
-# Integer and cent parts of the pixel texts 0.00 to 640.00.
-_UNITS = [str(i) for i in range(_W + 1)]
-_CENTS = [f".{c:02d}" for c in range(100)]
+# Integer and cent parts of the pixel texts 0.00 to 640.00, as byte strings.
+_UNITS = np.array([str(i) for i in range(_W + 1)], dtype="S3")
+_CENTS = np.array([f".{c:02d}" for c in range(100)], dtype="S3")
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _centi_text(v: np.ndarray) -> list[str]:
-    """``f"{x:.2f}"`` of each x in ``v``, built from integer centi-pixels.
+def _centi_text(v: np.ndarray) -> np.ndarray:
+    """``f"{x:.2f}"`` of each x in ``v`` as a byte-string (``S``) array.
 
     For 0 <= x < 640 the product 100 x is within 2^-37 of its exact value,
     so away from half-cent ties its nearest integer k is what the correctly
-    rounded ``.2f`` prints: the text is ``_UNITS[k // 100] + _CENTS[k % 100]``.
-    Values within 1e-6 of a tie, negative values (-0.0 too), values >= 640
-    and nan or inf are formatted with ``.2f`` itself.
+    rounded ``.2f`` prints: the text is ``_UNITS[k // 100] + _CENTS[k % 100]``,
+    joined as byte arrays.  Values within 1e-6 of a tie, negative values
+    (-0.0 too), values >= 640 and nan or inf are formatted with ``.2f``
+    itself, after widening the array to their length.
     """
     c = 100.0 * v
     k = np.rint(c)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
         exact = ~np.signbit(v) & (v < _W) & (np.abs(c - k) < 0.5 - 1e-6)
     units, cents = np.divmod(np.where(exact, k, 0.0).astype(np.intp), 100)
-    text = [_UNITS[u] + _CENTS[d] for u, d in zip(units.tolist(), cents.tolist())]
-    for i in np.flatnonzero(~exact).tolist():
-        text[i] = f"{float(v[i]):.2f}"
+    text = np.strings.add(_UNITS[units], _CENTS[cents])
+    odd = np.flatnonzero(~exact)
+    if odd.size:
+        formatted = np.array([f"{x:.2f}".encode() for x in v[odd].tolist()])
+        text = text.astype(np.promote_types(text.dtype, formatted.dtype))
+        text[odd] = formatted
     return text
+
+
+def _join(*parts) -> bytes:
+    """``parts`` (``S`` arrays and byte strings) concatenated row by row, then
+    all rows joined into one byte string.
+
+    ``S`` arrays pad short texts with NUL, which no SVG text holds, so the
+    padding is dropped from the joined bytes.
+    """
+    rows = parts[0]
+    for part in parts[1:]:
+        rows = np.strings.add(rows, part)
+    return rows.tobytes().replace(b"\0", b"")
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -228,9 +247,10 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
     dotted 95% bands for worm) is drawn beneath them.  Byte output is a pure
     function of the report contents.  Every pixel coordinate is printed to
     0.01 px, the ``.2f`` text built from its integer number of centi-pixels
-    (``_centi_text``).  Circles and band vertices are formatted and written
-    ``_CHUNK`` points at a time, so neither the document nor n-length lists
-    of strings are held in memory.
+    (``_centi_text``).  Circles and band vertices are built as byte arrays,
+    joined element-wise with the fixed markup, and written ``_CHUNK`` points
+    at a time, so neither the document nor n-length arrays of text are held
+    in memory.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")
@@ -251,24 +271,23 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
         f'x2="{canvas.x(xlim[1]):.2f}" y2="{canvas.y(ref_y[1]):.2f}" '
         f'stroke="firebrick" stroke-width="1.5"/>'
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
-            f'fill="white"/>\n'
-        )
-        fh.writelines(f"{element}\n" for element in elements)
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
+        f'fill="white"/>\n'
+    )
+    with open(path, "wb") as fh:
+        fh.write("".join([head, *(f"{element}\n" for element in elements)])
+                 .encode("utf-8"))
         for band in bands:
-            sep = '<polyline points="'
+            fh.write(b'<polyline points="')
+            skip = 1  # vertices are space-separated: none before the first
             for tx, ty in _pixel_text(canvas, pts[:, 0], band):
-                fh.write(sep + " ".join([f"{x},{y}" for x, y in zip(tx, ty)]))
-                sep = " "
-            fh.write('" fill="none" stroke="gray" '
-                     'stroke-width="1" stroke-dasharray="3,3"/>\n')
+                fh.write(memoryview(_join(b" ", tx, b",", ty))[skip:])
+                skip = 0
+            fh.write(b'" fill="none" stroke="gray" '
+                     b'stroke-width="1" stroke-dasharray="3,3"/>\n')
         for tx, ty in _pixel_text(canvas, pts[:, 0], pts[:, 1]):
-            fh.write("".join([
-                f'<circle cx="{x}" cy="{y}" '
-                f'r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'
-                for x, y in zip(tx, ty)
-            ]))
-        fh.write("</svg>\n")
+            fh.write(_join(b'<circle cx="', tx, b'" cy="', ty,
+                           b'" r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'))
+        fh.write(b"</svg>\n")

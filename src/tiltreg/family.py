@@ -26,6 +26,7 @@ x^(p-1) * Gbar(x)**min(1, beta) over (0, inf) is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .errors import NumericalError
 _ROOT_MAX_ITER = 200
 _SOLVE_BLOCK = 16384
 _LOG2 = float(np.log(2.0))
+_TINY = np.finfo(float).tiny
 # Below this log p the solve's residual takes the ratio form log(y/p).
 _DEEP_LOG_P = -40.0
 
@@ -280,8 +282,9 @@ class TiltedDistribution:
         exp(-e^(-beta s)) (e^-s + beta (1 - e^-s) e^(-beta s)) of S = -log(1-Y),
         which decays like e^(-min(1, beta) s); s^p h spreads over a few
         L = max(1, p)/min(1, beta).  Tanh-sinh on a window up to 64 L long, else
-        exp-sinh in units of L beyond each end, at step 1/32, with the terms
-        formed in log space.  ``NumericalError`` if the sum is not finite (the
+        exp-sinh in units of L beyond each end, at step 1/32.  Each term is
+        formed as the product w x^p h, or in log space where x^p or h over- or
+        underflows.  ``NumericalError`` if the sum is not finite (the
         moment overflows, or x does where h > 0) or the step-1/16 sum differs
         by over 1e-8 relative, as where the moment does not exist.
         """
@@ -290,38 +293,60 @@ class TiltedDistribution:
         if not (lower >= 0 and upper > lower):
             raise ValueError("need 0 <= lower < upper")
         s_a = 0.0 if lower == 0 else -float(self.baseline.log_sf(lower))
-        s_b = np.inf if np.isinf(upper) else -float(self.baseline.log_sf(upper))
+        s_b = math.inf if math.isinf(upper) else -float(self.baseline.log_sf(upper))
         scale = max(1.0, p) / min(1.0, self.beta)
         if s_b - s_a <= _TS_SPAN * scale:
             s, w = s_a + (s_b - s_a) * _TS_NODE, (s_b - s_a) * _TS_SLOPE
-        elif np.isinf(s_b):
+        elif math.isinf(s_b):
             s, w = s_a + scale * _ES_NODE, scale * _ES_SLOPE
         else:  # the integral beyond s_a less the one beyond s_b
             s = np.add.outer([s_a, s_b], scale * _ES_NODE)
             w = np.outer([scale, -scale], _ES_SLOPE)
-        # each term w x^p h as exp(log |w| + p log x + log h), so that neither
-        # x^p nor h over- or underflows; where x overflowed and h underflows it is 0
+        # each term w x^p h, and its log, log |w| + p log x + log h, which sets
+        # the scale and stands in where x^p or h over- or underflows; where x
+        # overflowed and h underflows the term is 0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_h = -np.exp(-self.beta * s) + np.logaddexp(
-                -s, np.log(self.beta) + _log1mexp(s) - self.beta * s)
-            x = np.asarray(self.baseline.quantile_from_log_sf(-s), dtype=float)
+            neg_s, b = -s, self.beta
+            neg_b_s = -b * s
+            e_b, b_y = np.exp(neg_b_s), -b * np.expm1(neg_s)  # b_y = b (1 - e^-s)
+            # h = e^lead e^r with lead the larger of -s and -b s, so that
+            # r = log(e^(-s - lead) + b_y e^(-b s - lead)) - e^(-b s) is O(1):
+            # both exponentials are accurate and neither log underflows
+            if b >= 1.0:
+                lead, r = neg_s, np.log1p(b_y * np.exp((1.0 - b) * s))
+            else:
+                lead, r = neg_b_s, np.log(np.exp((b - 1.0) * s) + b_y)
+            r -= e_b
+            h = np.exp(lead) * np.exp(r)
+            log_h = lead + r
+            x = np.asarray(self.baseline.quantile_from_log_sf(neg_s), dtype=float)
+            x_p = x**p
+            t = w * x_p * h
             log_t = np.log(np.abs(w)) + p * np.log(x) + log_h
-            log_t[np.isinf(x) & (np.exp(log_h) == 0.0)] = -np.inf
-            top = log_t.max()
-            if top == -np.inf:
+            log_t[np.isinf(x) & (h == 0.0)] = -np.inf
+            top = float(log_t.max())
+            if top == -math.inf:
                 return 0.0
-            # sum relative to the largest term, then scale by e^top in two
-            # halves, so that a subnormal result is rounded once
-            terms = np.sign(w) * np.exp(log_t - top)
+            # sum relative to 2^k near the largest term, then scale back, both
+            # exactly, so that a subnormal result is rounded once.  A term is
+            # w x^p h itself where its factors and it are normal numbers: its
+            # log carries an error of about |log t| eps.  Beyond |top| = 1e4
+            # the sum over- or underflows whatever k is, so k stays within
+            # ldexp's range; an infinite or nan top leaves k = 0 and a
+            # non-finite sum, reported below.
+            k = round(min(max(top, -1e4), 1e4) / _LOG2) if math.isfinite(top) else 0
+            direct = np.isfinite(t) & (np.minimum(np.minimum(x_p, h), np.abs(t)) >= _TINY)
+            terms = np.ldexp(t, -k)
+            np.exp(log_t - k * _LOG2, out=terms, where=~direct)
+            np.copysign(terms, w, out=terms)
             fine, coarse = terms.sum() / 32.0, terms[..., ::2].sum() / 16.0
-            half = np.exp(0.5 * top)
-            value = fine * half * half
-            converged = np.isfinite(value) and abs(fine - coarse) <= _DE_GAP * abs(fine)
+            value = np.ldexp(fine, k)
+            converged = math.isfinite(value) and abs(fine - coarse) <= _DE_GAP * abs(fine)
             if not converged:
                 raise NumericalError(
                     f"moment of order {p} on ({lower}, {upper}) is not finite or did "
                     f"not converge: steps 1/32 and 1/16 give {value:.6e} and "
-                    f"{coarse * half * half:.6e}")
+                    f"{np.ldexp(coarse, k):.6e}")
         return float(value)
 
     def moment(self, p: float) -> float:

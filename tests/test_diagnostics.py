@@ -191,6 +191,13 @@ class TestWormPlot:
         with pytest.raises(ValueError):
             build_report(np.arange(9, dtype=float))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_residuals(self, bad):
+        r = np.random.default_rng(6).normal(size=40)
+        r[17] = bad
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            build_report(r)
+
 
 # ---------------------------------------------------------------------------
 # pixel text
@@ -198,7 +205,8 @@ class TestWormPlot:
 
 def assert_centi_text_matches_format(values):
     values = np.asarray(values, dtype=float)
-    assert _centi_text(values) == [f"{v:.2f}" for v in values.tolist()]
+    assert _centi_text(values).tolist() == [
+        f"{v:.2f}".encode() for v in values.tolist()]
 
 
 class TestCentiText:
@@ -302,6 +310,20 @@ class TestReportAndRendering:
         r = np.random.default_rng(14).standard_t(5, size=2 * _CHUNK + 17)
         r[::3] = np.round(r[::3], 1)
         assert_coordinates_match_per_point_map(build_report(r), tmp_path)
+
+    def test_plot_bytes_match_pinned_digests(self, tmp_path):
+        # twelve full chunks and a partial one; rounded residuals give ties
+        r = np.random.default_rng(17).standard_t(5, size=12 * _CHUNK + 5)
+        r[::3] = np.round(r[::3], 1)
+        report = build_report(r)
+        digests = {
+            "qq": "3fc2f09dfe38f92681b60f0d32bd6c93dce3a922b2abacb92a43afa444d9f293",
+            "worm": "38b579cf62ef4fe7f0cdc4fb8cb2133682947243f6d56b24d509c419fe60d495",
+        }
+        for kind, digest in digests.items():
+            path = tmp_path / f"{kind}.svg"
+            render_svg(report, kind, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_render_peak_memory_does_not_grow_with_n(self, tmp_path):
         # the worm plot streams both the band vertices and the circles

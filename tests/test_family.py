@@ -607,6 +607,16 @@ class TestMomentOracles:
                 exact = float(aux_moment_series(beta, p) / lam**p)
                 assert tilted(lam, beta).moment(p) == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 0.3, 1, 2, 8, 50, 500])
+    def test_high_order_moments_are_accurate_to_a_few_ulps(self, beta):
+        # x^p is formed with ** where finite: in log space it would carry an
+        # error of about p |log x| eps, 2e-14 relative at p = 50
+        for lam in (0.37, 1.0, 5.0):
+            for p in (20.0, 50.0):
+                exact = aux_moment_series(beta, p) / lam**p
+                value = tilted(lam, beta).moment(p)
+                assert abs(value - exact) <= 2e-15 * abs(exact)
+
     @pytest.mark.parametrize("shape", [0.7, 1.5, 3.0])
     def test_weibull_raw_moments_match_the_series(self, shape):
         from tests.test_baseline import _Weibull
@@ -662,6 +672,17 @@ class TestMomentOracles:
     def test_moment_where_x_to_the_p_overflows(self):
         exact = float(aux_moment_series(0.3, 100.0))  # 1.8108320927810199e210
         assert tilted(1.0, 0.3).moment(100.0) == pytest.approx(exact, rel=1e-13)
+
+    def test_x_overflowing_where_h_is_positive_is_an_error(self):
+        # x(s) = expm1(s)^2 overflows beyond s = 355, where h ~ 0.01 e^(-0.01 s)
+        d = TiltedDistribution(_LogLogistic(0.5, 1.0), 0.01)
+        with pytest.raises(NumericalError, match="not finite"):
+            d.truncated_moment(0.5, 1e100, math.inf)
+
+    def test_astronomical_order_is_a_numerical_error(self):
+        # log-terms near 1e300: the scale 2^k must stay within ldexp's range
+        with pytest.raises(NumericalError, match="not finite"):
+            tilted(1.0, 1.0).truncated_moment(1e300, 0.5, 3.0)
 
     def test_step_gap_still_rejects_an_unresolved_moment(self):
         # 2 Gamma(151) = 1.14e263 is finite, but the two steps differ by 1.7e-6
