@@ -22,6 +22,11 @@ def _require_positive(x, name: str):
     return x
 
 
+def _require_positive_finite(value, name: str):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number")
+
+
 def _require_probability(p, name: str = "p"):
     p = np.asarray(p, dtype=float)
     if np.any(~((p > 0) & (p < 1))):
@@ -86,8 +91,7 @@ class ExponentialBaseline(BaselineDistribution):
     rate: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("rate must be a positive finite number")
+        _require_positive_finite(self.rate, "rate")
 
     def pdf(self, x):
         x = _require_positive(x, "x")

@@ -36,12 +36,9 @@ class ModelConfig:
     sigma_terms: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "mu_terms", tuple(t for t in self.mu_terms if t != "1")
-        )
-        object.__setattr__(
-            self, "sigma_terms", tuple(t for t in self.sigma_terms if t != "1")
-        )
+        for name in ("mu_terms", "sigma_terms"):
+            object.__setattr__(
+                self, name, tuple(t for t in getattr(self, name) if t != "1"))
 
     @property
     def referenced_columns(self) -> tuple[str, ...]:
@@ -195,11 +192,8 @@ def design_matrices(table: DatasetTable, schema: dict
     with, say, a single origin level still gets every trained column; an
     unseen level is an error naming it.
     """
-    levels = {
-        t["name"]: tuple(t["levels"])
-        for t in schema["columns"]
-        if t["kind"] == "categorical"
-    }
+    levels = {t["name"]: tuple(t["levels"])
+              for t in schema["columns"] if t["kind"] == "categorical"}
     W, mu_names = _design_matrix(table, tuple(schema["mu_terms"]), levels)
     Z, sigma_names = _design_matrix(table, tuple(schema["sigma_terms"]), levels)
     return W, Z, mu_names, sigma_names
@@ -208,7 +202,8 @@ def design_matrices(table: DatasetTable, schema: dict
 def build_design(table: DatasetTable, config: ModelConfig) -> ModelSpec:
     """Assemble the ModelSpec: response and the designs of ``design_schema``.
 
-    ModelSpec checks positivity and rank, naming any dependent column.
+    ModelSpec checks the responses and the design shapes; ``fit`` checks
+    that the coefficients are estimable, naming any dependent column.
     """
     if config.response not in table.columns:
         raise SpecificationError(f"response column {config.response} not in table")

@@ -60,7 +60,8 @@ class DiagnosticsReport:
 
 
 def build_report(residuals) -> DiagnosticsReport:
-    """Assemble the full report; requires enough finite residuals for a worm plot."""
+    """Assemble the full report from at least 10 finite residuals that are not
+    all equal (ValueError otherwise)."""
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 10:
         raise ValueError("worm plot needs at least 10 residuals")
@@ -73,14 +74,18 @@ def build_report(residuals) -> DiagnosticsReport:
         np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi))  # 1.96 se / phi(theo)
     bands = np.column_stack([-half, half])
     worm = np.column_stack([theo, qq[:, 1] - theo])
-    # biased central-moment ratios (Fisher's skewness and excess kurtosis)
+    # biased central-moment ratios (Fisher's skewness and excess kurtosis);
+    # d2 * d and d2 * d2 are products, where d**3 and d**4 would call pow
     d = r - np.mean(r)
-    m2 = np.mean(d**2)
+    d2 = d * d
+    m2 = np.mean(d2)
+    if qq[0, 1] == qq[-1, 1] or not m2 > 0:
+        raise ValueError("residuals have zero variance")
     summary = {
         "mean": float(np.mean(r)),
         "variance": float(np.var(r, ddof=1)),
-        "skewness": float(np.mean(d**3) / m2**1.5),
-        "excess_kurtosis": float(np.mean(d**4) / m2**2 - 3.0),
+        "skewness": float(np.mean(d2 * d) / m2**1.5),
+        "excess_kurtosis": float(np.mean(d2 * d2) / m2**2 - 3.0),
     }
     return DiagnosticsReport(
         residuals=r,
@@ -156,9 +161,7 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = np.ceil(lo / step) * step
-    ticks = []
-    t = first
+    ticks, t = [], np.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
         t += step
@@ -183,16 +186,11 @@ class _Canvas:
 
 def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> list[str]:
     """The plot frame, axis ticks with their labels, and the three titles."""
-    xt = _ticks(*canvas.xlim)
-    yt = _ticks(*canvas.ylim)
-    axes = []
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT
-    axes.append(
-        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    for t in xt:
+    axes = [f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+            f'fill="none" stroke="black" stroke-width="1"/>']
+    for t in _ticks(*canvas.xlim):
         px = canvas.x(t)
         if x0 - 0.5 <= px <= x1 + 0.5:
             axes.append(
@@ -203,7 +201,7 @@ def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> list[str]:
                 f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
                 f'font-size="11">{_fmt(t)}</text>'
             )
-    for t in yt:
+    for t in _ticks(*canvas.ylim):
         py = canvas.y(t)
         if y1 - 0.5 <= py <= y0 + 0.5:
             axes.append(

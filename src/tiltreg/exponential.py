@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .baseline import ExponentialBaseline
+from .baseline import ExponentialBaseline, _require_positive_finite
 from .family import TiltedDistribution
 
 _LOG2 = math.log(2.0)
@@ -123,9 +123,7 @@ def MedianTiltedExponential(mu: float, sigma: float) -> TiltedDistribution:
     ``c/mu`` and shape ``-log(L)/c``; read them back as ``.baseline.rate``
     and ``.beta``.
     """
-    if not (np.isfinite(mu) and mu > 0):
-        raise ValueError("mu must be a positive finite number")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be a positive finite number")
+    _require_positive_finite(mu, "mu")
+    _require_positive_finite(sigma, "sigma")
     c, _, logL = _shape_constants(sigma)
     return TiltedDistribution(ExponentialBaseline(c / mu), float(-logL / c))

@@ -35,6 +35,7 @@ from scipy.optimize import brentq
 from .baseline import (
     BaselineDistribution,
     _require_positive,
+    _require_positive_finite,
     _require_probability,
     _scalar_like,
 )
@@ -47,6 +48,9 @@ _LOG2 = float(np.log(2.0))
 _TINY = np.finfo(float).tiny
 # Below this log p the solve's residual takes the ratio form log(y/p).
 _DEEP_LOG_P = -40.0
+# Below this log Gbar and beta log Gbar, S = Gbar + Gbar^beta: the neglected
+# terms are under e^-40 = 4e-18 relative.
+_FAR_TAIL = -40.0
 
 # Double-exponential rules (Takahasi & Mori 1974) at t = k/32, as nodes and
 # d(node)/dt: exp-sinh on (0, inf) for k in [-144, 102] and tanh-sinh on (0, 1)
@@ -64,12 +68,6 @@ _DE_GAP = 1e-8
 
 # Subintervals of the mode scan.
 _MODE_GRID = 256
-
-
-def _check_beta(beta: float) -> float:
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError("beta must be a positive finite number")
-    return float(beta)
 
 
 def _log1mexp(x):
@@ -147,7 +145,7 @@ class TiltedDistribution:
     beta: float
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        _require_positive_finite(self.beta, "beta")
         if not isinstance(self.baseline, BaselineDistribution):
             raise TypeError("baseline must be a BaselineDistribution")
         # support must be (0, inf): a baseline putting mass at or below zero
@@ -166,24 +164,32 @@ class TiltedDistribution:
         G = -np.expm1(log_gbar)
         return _scalar_like(G * np.exp(-np.exp(self.beta * log_gbar)), x)
 
+    def _log_gbar_and_sf(self, t):
+        t = _require_positive(t, "t")
+        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
+        with np.errstate(divide="ignore"):
+            log_G = np.log1p(-np.exp(log_gbar))
+        return log_gbar, -np.expm1(log_G - np.exp(self.beta * log_gbar))
+
     def sf(self, t):
         """Survival 1 - F(t) = -expm1(log G - Gbar^beta), log G = log1p(-Gbar).
 
         No cancellation where F rounds to 1: S is accurate down to underflow.
         """
-        t = _require_positive(t, "t")
-        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
-        with np.errstate(divide="ignore"):
-            log_G = np.log1p(-np.exp(log_gbar))
-        return _scalar_like(-np.expm1(log_G - np.exp(self.beta * log_gbar)), t)
+        return _scalar_like(self._log_gbar_and_sf(t)[1], t)
 
     def log_sf(self, t):
-        """log S(t) = log(-expm1(log1p(-Gbar) - Gbar^beta)), Gbar = 1 - G(t).
+        """log S(t): log(sf), or logaddexp(log Gbar, beta log Gbar) in the far tail.
 
-        Finite wherever S is representable; -inf only where S underflows.
+        Below ``_FAR_TAIL`` S = Gbar + Gbar^beta, so log S stays accurate
+        where S underflows; it is -inf only where log Gbar is.
         """
+        log_gbar, s = self._log_gbar_and_sf(t)
+        tilted = self.beta * log_gbar
         with np.errstate(divide="ignore"):
-            return _scalar_like(np.log(self.sf(t)), t)
+            log_s = np.where(np.maximum(log_gbar, tilted) < _FAR_TAIL,
+                             np.logaddexp(log_gbar, tilted), np.log(s))
+        return _scalar_like(log_s, t)
 
     def log_pdf(self, x):
         """log f = log g + log(1 + beta*G*Gbar^(beta-1)) - Gbar^beta.
@@ -207,12 +213,12 @@ class TiltedDistribution:
         return _scalar_like(np.exp(self.log_pdf(x)), x)
 
     def hazard(self, t):
-        """f(t) / S(t) = exp(log f - log S).  Raises where S underflows."""
+        """f(t) / S(t) = exp(log f - log S).  Raises where log S is -inf."""
         log_s = np.asarray(self.log_sf(t), dtype=float)
         if np.any(np.isneginf(log_s)):
             raise NumericalError(
-                "survival function underflowed to zero; the hazard would "
-                "overflow at the requested point"
+                "log survival is -inf at the requested point; the hazard "
+                "is undefined there"
             )
         return _scalar_like(np.exp(np.asarray(self.log_pdf(t)) - log_s), t)
 

@@ -55,23 +55,29 @@ def _check_full_rank(m: np.ndarray, label: str, names: tuple[str, ...]):
     if m.shape[1] == 0:
         raise SpecificationError(f"{label} has no columns")
     # Greedy scan: a column already representable by its predecessors is
-    # dependent; the scan ends on the whole design when no column is.
+    # dependent; the scan ends on the whole design when no column is.  R of
+    # m = QR has m's singular values on every subset of columns, at p x p.
+    R = np.linalg.qr(m, mode="r")
     bad, kept = [], []
     for j, name in enumerate(names):
-        s = np.linalg.svd(m[:, kept + [j]], compute_uv=False)
+        s = np.linalg.svd(R[:, kept + [j]], compute_uv=False)
         if s[-1] <= _RANK_RTOL * s[0]:
             bad.append(name)
         else:
             kept.append(j)
     if bad:
         raise SpecificationError(
-            f"{label} is rank deficient; dependent column(s): {', '.join(bad)}"
-        )
+            f"{label} is rank deficient; dependent column(s): {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Response vector plus the two design matrices and coefficient names."""
+    """Response vector plus the two design matrices and coefficient names.
+
+    Checks the data only: shapes, row counts, strictly positive finite
+    responses and one name per column.  ``fit`` checks that the coefficients
+    are estimable, so residuals can be taken on any rows.
+    """
 
     response: np.ndarray
     mu_design: np.ndarray
@@ -85,26 +91,17 @@ class ModelSpec:
         Z = _as_matrix(self.sigma_design, "sigma_design")
         if np.any(~(y > 0)) or np.any(~np.isfinite(y)):
             raise SpecificationError("all responses must be strictly positive")
-        n = y.size
-        if W.shape[0] != n or Z.shape[0] != n:
+        if W.shape[0] != y.size or Z.shape[0] != y.size:
             raise SpecificationError("design row counts must match the response")
-        if W.shape[1] + Z.shape[1] >= n:
-            raise SpecificationError("more coefficients than observations")
         mu_names = tuple(self.mu_names) or tuple(
-            f"mu{j + 1}" for j in range(W.shape[1])
-        )
+            f"mu{j + 1}" for j in range(W.shape[1]))
         sigma_names = tuple(self.sigma_names) or tuple(
-            f"sigma{j + 1}" for j in range(Z.shape[1])
-        )
+            f"sigma{j + 1}" for j in range(Z.shape[1]))
         if len(mu_names) != W.shape[1] or len(sigma_names) != Z.shape[1]:
             raise SpecificationError("coefficient name counts do not match designs")
-        _check_full_rank(W, "mu_design", mu_names)
-        _check_full_rank(Z, "sigma_design", sigma_names)
-        object.__setattr__(self, "response", y)
-        object.__setattr__(self, "mu_design", W)
-        object.__setattr__(self, "sigma_design", Z)
-        object.__setattr__(self, "mu_names", mu_names)
-        object.__setattr__(self, "sigma_names", sigma_names)
+        for name, value in (("response", y), ("mu_design", W), ("sigma_design", Z),
+                            ("mu_names", mu_names), ("sigma_names", sigma_names)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_obs(self) -> int:
@@ -120,9 +117,8 @@ class ModelSpec:
 
     @property
     def coef_names(self) -> tuple[str, ...]:
-        return tuple(f"mu.{s}" for s in self.mu_names) + tuple(
-            f"sigma.{s}" for s in self.sigma_names
-        )
+        return (tuple(f"mu.{s}" for s in self.mu_names)
+                + tuple(f"sigma.{s}" for s in self.sigma_names))
 
     def split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -130,20 +126,6 @@ class ModelSpec:
             raise SpecificationError("theta length does not match the designs")
         p1 = self.n_mu_coefs
         return theta[:p1], theta[p1:]
-
-
-def _linked_blocks(spec: ModelSpec, theta):
-    """Yield ``(rows, y, mu, sigma)`` for consecutive blocks of ``_BLOCK`` rows.
-
-    ``rows`` is a slice; mu and sigma are the linked parameters of those rows
-    only, so the kernels' temporaries stay small and cache-resident.
-    """
-    alpha, gamma = spec.split(theta)
-    for start in range(0, spec.n_obs, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        yield (rows, spec.response[rows],
-               np.exp(spec.mu_design[rows] @ alpha),
-               np.exp(spec.sigma_design[rows] @ gamma))
 
 
 def _exact_row_sums(blocks) -> list[float] | None:
@@ -160,11 +142,10 @@ def _exact_row_sums(blocks) -> list[float] | None:
     independent of the order of the terms and of the blocking.
 
     The blocks are overwritten.  None, found before a block is modified, when
-    a block holds a non-finite term or one of magnitude at least _EXACT_MAX.
-    The caller then forms the terms again and sums whole rows with math.fsum,
-    so nan, inf and fsum's errors stay exactly as they are: a per-block fsum
-    would, for one, turn a row with nan and inf in one block and -inf in
-    another into nan, where fsum over the row raises ValueError.
+    a block holds a non-finite term or one of magnitude at least _EXACT_MAX:
+    ``_row_sums`` then sums whole rows with math.fsum, as a per-block fsum
+    would not (nan and inf in one block and -inf in another give nan, where
+    fsum over the row raises ValueError).
     """
     partials = []
     for block in blocks:
@@ -184,34 +165,46 @@ def _exact_row_sums(blocks) -> list[float] | None:
     return [math.fsum(row) for row in np.reshape(partials, (-1, len(top))).T]
 
 
-def _fsum(row) -> float:
-    """math.fsum of a row, or nan where fsum raises: for inf and -inf terms
-    (ValueError) or a running sum beyond the float range (OverflowError)."""
-    try:
-        return math.fsum(row)
-    except (ValueError, OverflowError):
-        return math.nan
+def _row_sums(spec: ModelSpec, theta, terms) -> list[float]:
+    """Correctly rounded sum over all observations of each row of the terms.
+
+    ``terms(rows, y, mu, sigma)`` forms the (m, rows) terms of one slice of
+    ``_BLOCK`` rows, with mu and sigma linked for those rows only, so the
+    kernels' temporaries stay cache-resident.  ``_exact_row_sums`` reduces
+    the blocks; where it refuses a term, each whole row is summed again by
+    math.fsum: nan where fsum raises, for inf and -inf terms or an overflow.
+    """
+    def blocks():
+        alpha, gamma = spec.split(theta)
+        for start in range(0, spec.n_obs, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            yield terms(rows, spec.response[rows],
+                        np.exp(spec.mu_design[rows] @ alpha),
+                        np.exp(spec.sigma_design[rows] @ gamma))
+
+    with np.errstate(all="ignore"):
+        sums = _exact_row_sums(blocks())
+        if sums is not None:
+            return sums
+        whole_rows = np.hstack(list(blocks()))
+    sums = []
+    for row in whole_rows:
+        try:
+            sums.append(math.fsum(memoryview(row)))
+        except (ValueError, OverflowError):
+            sums.append(math.nan)
+    return sums
 
 
 def log_likelihood(spec: ModelSpec, theta) -> float:
     """Joint log-likelihood; -inf whenever it, or any term, is not finite.
 
-    Per-observation terms are the log of the median-parameterized density at
-    (y_i, mu_i, sigma_i), computed in row blocks of ``_BLOCK`` observations.
-    Their sum is correctly rounded (``_exact_row_sums``), so the value is
-    independent of observation order, and of the blocking, down to the last
-    bit.
+    The sum of the median-parameterized log-densities at (y_i, mu_i, sigma_i)
+    is correctly rounded (``_row_sums``), so it does not depend on the order
+    of the observations, down to the last bit.
     """
-    def blocks():
-        for _, y, mu, sigma in _linked_blocks(spec, theta):
-            yield median_tilted_logpdf(y, mu, sigma)[None]
-
-    with np.errstate(all="ignore"):
-        sums = _exact_row_sums(blocks())
-        if sums is not None:
-            return sums[0]
-        # A non-finite or huge term: the whole row by math.fsum.
-        total = _fsum(memoryview(np.concatenate([t[0] for t in blocks()])))
+    [total] = _row_sums(
+        spec, theta, lambda rows, y, mu, sigma: median_tilted_logpdf(y, mu, sigma)[None])
     return total if math.isfinite(total) else -math.inf
 
 
@@ -221,29 +214,25 @@ def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
     Chains the kernel's link-coordinate derivatives through the designs in
     row blocks of ``_BLOCK``: the score is (W'd_u, Z'd_v), the Hessian has the
     blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly
-    rounded sum (``_exact_row_sums``, taken block by block), so both are
-    independent of observation order and blocking.  An entry whose terms
-    hold inf and -inf, or whose sum overflows, is nan (``_fsum``).
+    rounded sum (``_row_sums``), so both are independent of observation order
+    and blocking.  An entry whose terms hold inf and -inf, or whose sum
+    overflows, is nan.
     """
     p1, p = spec.n_mu_coefs, spec.n_coefs
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
-    def blocks():
-        for rows, y, mu, sigma in _linked_blocks(spec, theta):
-            d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
-            cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
-            terms = np.empty((p + len(pairs), y.size))
-            for i in range(p):
-                np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i])
-            for k, (i, j) in enumerate(pairs, start=p):
-                d = d_uu if j < p1 else d_uv if i < p1 else d_vv
-                np.multiply(cols[i] * cols[j], d, out=terms[k])
-            yield terms
+    def block_terms(rows, y, mu, sigma):
+        d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
+        cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
+        terms = np.empty((p + len(pairs), y.size))
+        for i in range(p):
+            np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i])
+        for k, (i, j) in enumerate(pairs, start=p):
+            d = d_uu if j < p1 else d_uv if i < p1 else d_vv
+            np.multiply(cols[i] * cols[j], d, out=terms[k])
+        return terms
 
-    with np.errstate(all="ignore"):
-        sums = _exact_row_sums(blocks())
-        if sums is None:  # a non-finite or huge term: whole rows by math.fsum
-            sums = [_fsum(memoryview(row)) for row in np.hstack(list(blocks()))]
+    sums = _row_sums(spec, theta, block_terms)
     H = np.empty((p, p))
     for k, (i, j) in enumerate(pairs, start=p):
         H[i, j] = H[j, i] = sums[k]
@@ -341,16 +330,23 @@ def _initial_theta(spec: ModelSpec) -> np.ndarray:
 def fit(spec: ModelSpec, max_iter: int = 500) -> FittedModel:
     """Maximize the log-likelihood and package estimates with inference.
 
-    One damped Newton loop from ``_initial_theta``: each iteration solves
-    J step = score with the observed information J = -H from one derivative
-    pass, shifting J's diagonal where its Cholesky fails, and halves the step
-    until the log-likelihood does not fall.  The loop stops once the score's
+    First checks that the coefficients are estimable: SpecificationError when
+    there are no more observations than coefficients, or when a design is
+    rank deficient, naming its dependent columns.  Then one damped Newton
+    loop from ``_initial_theta``: each iteration solves J step = score with
+    the observed information J = -H from one derivative pass, shifting J's
+    diagonal where its Cholesky fails, and halves the step until the
+    log-likelihood does not fall.  The loop stops once the score's
     max-norm is below ``_GRAD_TOL`` and the relative log-likelihood change
     below ``_LL_TOL``.  The standard errors use the inverse of the last
     iterate's J (InferenceError if a converged J is not positive definite).
     When ``max_iter`` iterations run out first, or no step can be taken, the
     model is returned with ``converged=False`` instead of raising.
     """
+    if spec.n_coefs >= spec.n_obs:
+        raise SpecificationError("more coefficients than observations")
+    _check_full_rank(spec.mu_design, "mu_design", spec.mu_names)
+    _check_full_rank(spec.sigma_design, "sigma_design", spec.sigma_names)
     theta = _initial_theta(spec)
     ll = log_likelihood(spec, theta)
     if not np.isfinite(ll):

@@ -12,6 +12,7 @@ from tiltreg import (
     TiltedDistribution,
     build_design,
     design_schema,
+    fit,
     ingest_csv,
 )
 from tiltreg.cli import main
@@ -103,8 +104,9 @@ class TestBuildDesign:
         rows = ["y,a,b"] + [f"{i + 1}.0,{i}.0,{2 * i}.0" for i in range(8)]
         csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
         config = ModelConfig(response="y", mu_terms=("a", "b"))
+        spec = build_design(ingest_csv(csv, config), config)
         with pytest.raises(SpecificationError, match="b"):
-            build_design(ingest_csv(csv, config), config)
+            fit(spec)
 
     def test_nonpositive_response_rejected(self, tmp_path):
         csv = tmp_path / "d.csv"
@@ -469,6 +471,33 @@ class TestResidualsCommand:
 
         assert np.allclose(values, quantile_residuals(lime_fit, lime_spec),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("subset", ["natural", "head"])
+    def test_any_rows_with_the_model_columns(self, subset, tmp_path, lime_path,
+                                             capsys):
+        # 12 rows of one origin level (rank-deficient dummies) and 3 rows
+        # (fewer than the 5 coefficients) are valid data for a fitted model:
+        # each residual is the full file's residual of that row, bit for bit.
+        _, model_path = run_fit(tmp_path, lime_path)
+        header, *rows = lime_path.read_text(encoding="utf-8").splitlines()
+        full = tmp_path / "full.csv"
+        assert main(["residuals", "--model", str(model_path),
+                     "--data", str(lime_path), "--out", str(full)]) == 0
+        full_lines = full.read_text().splitlines()[1:]
+        if subset == "natural":
+            picked = [i for i, row in enumerate(rows)
+                      if row.endswith(",Natural")][:12]
+        else:
+            picked = [0, 1, 2]
+        data = tmp_path / "subset.csv"
+        data.write_text("\n".join([header] + [rows[i] for i in picked]) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "res.csv"
+        assert main(["residuals", "--model", str(model_path),
+                     "--data", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(picked) in (12, 3)
+        assert out.read_text().splitlines()[1:] == [full_lines[i] for i in picked]
 
 
 class TestDistCommand:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -252,6 +253,25 @@ class TestReportAndRendering:
             summary = build_report(r).summary
             assert summary["skewness"] == pytest.approx(skew(r), abs=1e-12)
             assert summary["excess_kurtosis"] == pytest.approx(kurtosis(r), abs=1e-12)
+
+    def test_summary_products_match_powers(self):
+        # d2 * d and d2 * d2 against the pow route d**3 and d**4
+        r = np.random.default_rng(13).standard_t(5, size=100_000)
+        d = r - np.mean(r)
+        m2 = np.mean(d**2)
+        summary = build_report(r).summary
+        assert summary["skewness"] == pytest.approx(
+            np.mean(d**3) / m2**1.5, rel=1e-13, abs=1e-15)
+        assert summary["excess_kurtosis"] == pytest.approx(
+            np.mean(d**4) / m2**2 - 3.0, rel=1e-13)
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -2.7])
+    def test_zero_variance_rejected(self, value):
+        # 0.1 and -2.7 leave a mean a rounding off the value: d is not zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero variance"):
+                build_report(np.full(20, value))
 
     def test_report_points_share_one_sort(self):
         # the ordered residuals themselves, not the deviations plus quantiles

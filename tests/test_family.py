@@ -119,9 +119,34 @@ class TestSurvivalAndHazard:
         d = tilted(1.0, 2.0)
         assert d.hazard(1e-6) >= 0.0
 
-    def test_underflowed_survival_raises(self):
+    def test_hazard_beyond_survival_underflow(self):
+        # S(1000) underflows, but log S does not: the hazard is 1.  Only
+        # t = inf, where log S is -inf, raises.
+        d = tilted(1.0, 1.0)
+        assert d.sf(1000.0) == 0.0
+        assert d.hazard(1000.0) == pytest.approx(1.0, rel=1e-13)
         with pytest.raises(NumericalError):
-            tilted(1.0, 1.0).hazard(1000.0)
+            d.hazard(math.inf)
+
+    def test_far_tail_oracle(self):
+        # 60-digit S = -expm1(log1p(-a) - a^beta), a = e^(-lam x), out to
+        # 2000/(lam min(1, beta)), where S is near e^-2000 and underflows.
+        mpmath = pytest.importorskip("mpmath")
+        for lam, beta in [(1.0, 0.1), (0.3, 0.5), (2.0, 1.0), (1.0, 3.0),
+                          (5.0, 20.0), (1.0, 1.0)]:
+            d = tilted(lam, beta)
+            scale = lam * min(1.0, beta)
+            x = np.linspace(0.5 / scale, 2000.0 / scale, 60)
+            log_s, hazard = d.log_sf(x), d.hazard(x)
+            with mpmath.workdps(60):
+                for xi, ls, h in zip(x.tolist(), log_s, hazard):
+                    a = mpmath.exp(-lam * mpmath.mpf(xi))
+                    b = a ** beta
+                    S = -mpmath.expm1(mpmath.log1p(-a) - b)
+                    f = lam * a * (1 + beta * (1 - a) * b / a) * mpmath.exp(-b)
+                    assert ls == pytest.approx(float(mpmath.log(S)), rel=1e-14)
+                    # exp(log f - log S): each log carries ~|log S| eps
+                    assert h == pytest.approx(float(f / S), rel=1e-11)
 
     def test_hazard_where_cdf_rounds_to_one(self):
         # F(40) rounds to 1, so 1 - F would give S = 0; the hazard is 1

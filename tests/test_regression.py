@@ -63,29 +63,32 @@ class TestModelSpec:
         with pytest.raises(SpecificationError):
             intercept_spec([1.0, 0.0])
 
+    # The estimability checks (n > p, full rank) run at the start of fit.
     def test_rejects_too_many_coefficients(self):
         y = np.array([1.0, 2.0, 3.0])
+        spec = ModelSpec(response=y, mu_design=np.eye(3)[:, :2],
+                         sigma_design=np.ones((3, 1)))
         with pytest.raises(SpecificationError):
-            ModelSpec(response=y, mu_design=np.eye(3)[:, :2],
-                      sigma_design=np.ones((3, 1)))
+            fit(spec)
 
     def test_rejects_rank_deficiency(self):
         y = np.linspace(1, 2, 10)
         col = np.linspace(0, 1, 10)
         W = np.column_stack([np.ones(10), col, 2.0 * col])
+        spec = ModelSpec(response=y, mu_design=W, sigma_design=np.ones((10, 1)))
         with pytest.raises(SpecificationError, match="rank deficient"):
-            ModelSpec(response=y, mu_design=W, sigma_design=np.ones((10, 1)))
+            fit(spec)
 
     def test_rank_deficiency_names_the_dependent_column(self):
         col = np.linspace(0, 1, 10)
         W = np.column_stack([np.ones(10), col, 2.0 * col])
         with pytest.raises(SpecificationError, match="dependent column.*: b$"):
-            ModelSpec(response=np.linspace(1, 2, 10), mu_design=W,
-                      sigma_design=np.ones((10, 1)),
-                      mu_names=("(Intercept)", "a", "b"))
+            fit(ModelSpec(response=np.linspace(1, 2, 10), mu_design=W,
+                          sigma_design=np.ones((10, 1)),
+                          mu_names=("(Intercept)", "a", "b")))
         with pytest.raises(SpecificationError, match="sigma_design.*: sigma3$"):
-            ModelSpec(response=np.linspace(1, 2, 10), mu_design=np.ones((10, 1)),
-                      sigma_design=W)
+            fit(ModelSpec(response=np.linspace(1, 2, 10),
+                          mu_design=np.ones((10, 1)), sigma_design=W))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(SpecificationError):
