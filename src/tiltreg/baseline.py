@@ -1,10 +1,10 @@
 """Baseline distributions on the positive half-line.
 
 The tilted family in :mod:`tiltreg.family` is generic over a baseline
-distribution that supplies a density ``g`` and the log-survival pair
-``log(1 - G)`` and its inverse, all on the support ``(0, inf)``; the CDF ``G``
-and the quantile function follow from the pair.  Baselines with any other
-support are not admitted.
+distribution that supplies three log-space functions on the support
+``(0, inf)``: the log-density ``log g``, the log-survival ``log(1 - G)`` and
+its inverse.  The density, the CDF ``G`` and the quantile function follow
+from them.  Baselines with any other support are not admitted.
 """
 
 from __future__ import annotations
@@ -44,19 +44,20 @@ def _scalar_like(result, reference):
 class BaselineDistribution(ABC):
     """Continuous distribution on (0, inf) usable as a tilt baseline.
 
-    A baseline defines three methods: ``pdf``, ``log_sf`` and
-    ``quantile_from_log_sf``.  ``cdf`` and ``quantile`` are derived from the
-    log-survival pair, and ``log_pdf`` defaults to ``log(pdf)``.  The pair is
-    the primitive because the tilted tails are computed in log space, and no
-    form derived from a CDF stays accurate once G rounds to 1.
+    A baseline defines three methods: ``log_pdf``, ``log_sf`` and
+    ``quantile_from_log_sf``.  ``pdf`` is ``exp(log_pdf)``, and ``cdf`` and
+    ``quantile`` are derived from the log-survival pair.  The log forms are
+    the primitives because every tilted quantity is computed in log space:
+    no form derived from a CDF stays accurate once G rounds to 1, and a
+    ``log(pdf)`` is -inf once g underflows.
 
     All operations are pure functions of immutable parameters and accept
     scalars or NumPy arrays.
     """
 
     @abstractmethod
-    def pdf(self, x):
-        """g(x) = G'(x) for x > 0."""
+    def log_pdf(self, x):
+        """log g(x), g = G', for x > 0."""
 
     @abstractmethod
     def log_sf(self, x):
@@ -75,16 +76,16 @@ class BaselineDistribution(ABC):
         p = _require_probability(p)
         return _scalar_like(self.quantile_from_log_sf(np.log1p(-p)), p)
 
-    def log_pdf(self, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf(x))
+    def pdf(self, x):
+        """g(x) = exp(log g(x))."""
+        return _scalar_like(np.exp(self.log_pdf(x)), x)
 
 
 @dataclass(frozen=True)
 class ExponentialBaseline(BaselineDistribution):
     """Exponential distribution with rate ``rate`` per unit of x.
 
-    log(1 - G(x)) = -rate*x and pdf(x) = rate*exp(-rate*x), so the derived
+    log(1 - G(x)) = -rate*x and log g(x) = log(rate) - rate*x, so the derived
     cdf(x) = -expm1(-rate*x) and quantile(p) = -log1p(-p)/rate.
     """
 
@@ -92,10 +93,6 @@ class ExponentialBaseline(BaselineDistribution):
 
     def __post_init__(self):
         _require_positive_finite(self.rate, "rate")
-
-    def pdf(self, x):
-        x = _require_positive(x, "x")
-        return _scalar_like(self.rate * np.exp(-self.rate * x), x)
 
     def log_pdf(self, x):
         x = _require_positive(x, "x")

@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out", required=True, help="output model JSON file")
     p_fit.add_argument("--plots", metavar="PREFIX",
                        help="write PREFIX_qq.svg and PREFIX_worm.svg")
-    p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="fitted medians for new data")
@@ -204,7 +203,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         # non-convergence is reported through the exit code, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
-        model = fit(spec, max_iter=args.max_iter)
+        model = fit(spec)
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(

@@ -196,17 +196,18 @@ class TiltedDistribution:
 
         The bracket is a logaddexp of log-space terms, so ``Gbar**(beta-1)``,
         which explodes for beta < 1 while f decays, is never formed; log G is
-        log(-expm1(log Gbar)), which stays accurate at small x.
+        log(-expm1(log Gbar)), which stays accurate at small x.  Where log Gbar
+        is -inf (x = inf) log f is -inf for every beta.
         """
         x = _require_positive(x, "x")
         log_g = np.asarray(self.baseline.log_pdf(x), dtype=float)
         log_gbar = np.asarray(self.baseline.log_sf(x), dtype=float)
-        with np.errstate(divide="ignore"):
+        # log Gbar = -inf gives nan (-inf + inf, 0*inf at beta = 1): selected away
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_G = np.log(-np.expm1(log_gbar))
-        bump = np.log(self.beta) + log_G + (self.beta - 1.0) * log_gbar
-        return _scalar_like(
-            log_g + np.logaddexp(0.0, bump) - np.exp(self.beta * log_gbar), x
-        )
+            bump = np.log(self.beta) + log_G + (self.beta - 1.0) * log_gbar
+            log_f = log_g + np.logaddexp(0.0, bump) - np.exp(self.beta * log_gbar)
+        return _scalar_like(np.where(log_gbar == -np.inf, -np.inf, log_f), x)
 
     def pdf(self, x):
         """Density f = exp(log_pdf)."""

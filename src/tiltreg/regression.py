@@ -37,9 +37,10 @@ _BLOCK = 8192
 # OverflowError where the other does not.
 _EXACT_MAX = 2.0 ** 960
 _RANK_RTOL = 1e-10
-# Newton stopping rule: score max-norm, relative log-likelihood change.
+# Newton stopping rule: score max-norm, relative log-likelihood change, cap.
 _GRAD_TOL = 1e-6
 _LL_TOL = 1e-10
+_MAX_ITER = 500
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -327,7 +328,7 @@ def _initial_theta(spec: ModelSpec) -> np.ndarray:
     return theta0
 
 
-def fit(spec: ModelSpec, max_iter: int = 500) -> FittedModel:
+def fit(spec: ModelSpec) -> FittedModel:
     """Maximize the log-likelihood and package estimates with inference.
 
     First checks that the coefficients are estimable: SpecificationError when
@@ -340,7 +341,7 @@ def fit(spec: ModelSpec, max_iter: int = 500) -> FittedModel:
     max-norm is below ``_GRAD_TOL`` and the relative log-likelihood change
     below ``_LL_TOL``.  The standard errors use the inverse of the last
     iterate's J (InferenceError if a converged J is not positive definite).
-    When ``max_iter`` iterations run out first, or no step can be taken, the
+    When ``_MAX_ITER`` iterations run out first, or no step can be taken, the
     model is returned with ``converged=False`` instead of raising.
     """
     if spec.n_coefs >= spec.n_obs:
@@ -361,7 +362,7 @@ def fit(spec: ModelSpec, max_iter: int = 500) -> FittedModel:
         if gnorm < _GRAD_TOL and rel_change < _LL_TOL:
             converged = True
             break
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             break
         # Levenberg-Marquardt: shifts up to 1e4 max|J_ij| pass every eigenvalue.
         top = float(np.max(np.abs(H)))

@@ -89,10 +89,9 @@ class _Weibull(BaselineDistribution):
     def cdf(self, x):
         return -np.expm1(-((np.asarray(x) / self.scale) ** self.shape))
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x / self.scale) ** self.shape
-        return self.shape / self.scale * (x / self.scale) ** (self.shape - 1) * np.exp(-z)
+    def log_pdf(self, x):
+        z = np.asarray(x, dtype=float) / self.scale
+        return np.log(self.shape / self.scale) + (self.shape - 1) * np.log(z) - z**self.shape
 
     def quantile(self, p):
         return self.scale * (-np.log1p(-np.asarray(p))) ** (1.0 / self.shape)
@@ -123,13 +122,37 @@ class TestWeibullTilt:
         p = 1.0 - 1e-12
         assert self.d.cdf(self.d.quantile(p)) == pytest.approx(p, abs=1e-12)
 
-    @pytest.mark.parametrize("missing", ["pdf", "log_sf", "quantile_from_log_sf"])
+    @pytest.mark.parametrize("missing", ["log_pdf", "log_sf", "quantile_from_log_sf"])
     def test_log_survival_pair_is_required(self, missing):
         # the Weibull without one method: its abstract declaration shows through
         incomplete = type("_Incomplete", (_Weibull,),
                           {missing: getattr(BaselineDistribution, missing)})
         with pytest.raises(TypeError, match=missing):
             incomplete(1.5, 1.0)
+
+    def test_abstract_methods_are_the_log_forms(self):
+        assert BaselineDistribution.__abstractmethods__ == {
+            "log_pdf", "log_sf", "quantile_from_log_sf"}
+        assert "pdf" not in vars(ExponentialBaseline)
+
+    def test_far_tail_oracle(self):
+        # 50-digit log f and f/S with a = Gbar(x) = e^(-x^1.5):
+        # f = g (1 + beta (1-a) a^(beta-1)) e^(-a^beta), g = 1.5 sqrt(x) a, and
+        # S = -expm1(-a^beta) + a e^(-a^beta).  g is subnormal at x = 82, 0 beyond.
+        mpmath = pytest.importorskip("mpmath")
+        beta = 0.5
+        x = np.array([12.0, 60.0, 82.0, 90.0, 200.0, 1000.0])
+        log_f, hazard = self.d.log_pdf(x), self.d.hazard(x)
+        with mpmath.workdps(50):
+            for xi, lf, h in zip(x.tolist(), log_f, hazard):
+                xm = mpmath.mpf(xi)
+                a = mpmath.exp(-(xm**1.5))
+                b = a**beta
+                f = 1.5 * mpmath.sqrt(xm) * a * (1 + beta * (1 - a) * b / a) * mpmath.exp(-b)
+                S = -mpmath.expm1(-b) + a * mpmath.exp(-b)
+                assert lf == pytest.approx(float(mpmath.log(f)), rel=1e-14), xi
+                # exp(log f - log S): each log carries ~|log S| eps
+                assert h == pytest.approx(float(f / S), rel=1e-11), xi
 
 
 def test_exponential_quantile_from_log_sf_is_exact_in_the_tail():
@@ -151,8 +174,8 @@ class _PairOnlyExponential(BaselineDistribution):
     def __init__(self, rate: float):
         self.rate = rate
 
-    def pdf(self, x):
-        return ExponentialBaseline(self.rate).pdf(x)
+    def log_pdf(self, x):
+        return ExponentialBaseline(self.rate).log_pdf(x)
 
     def log_sf(self, x):
         return ExponentialBaseline(self.rate).log_sf(x)
@@ -161,29 +184,20 @@ class _PairOnlyExponential(BaselineDistribution):
         return ExponentialBaseline(self.rate).quantile_from_log_sf(log_s)
 
 
-class _PairAndLogPdfExponential(_PairOnlyExponential):
-    """The same, plus the exponential's closed-form log_pdf override."""
-
-    def log_pdf(self, x):
-        return ExponentialBaseline(self.rate).log_pdf(x)
-
-
 @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 8.0])
 @pytest.mark.parametrize("rate", [0.37, 1.0, 5.0])
 def test_three_methods_reproduce_the_exponential_bitwise(rate, beta):
-    # the derived cdf/quantile give the exponential's closed-form bits, and so
-    # does every tilted quantity; pdf and mode read log_pdf, whose log(pdf)
-    # default differs from the closed form in the last bits
+    # the derived pdf/cdf/quantile give the exponential's bits, and so does
+    # every tilted quantity
     mine, ref = _PairOnlyExponential(rate), ExponentialBaseline(rate)
     x = np.geomspace(1e-6, 60.0, 200)
     p = np.linspace(0.01, 0.99, 50)
-    for f, arg in (("cdf", x), ("cdf", 0.7), ("quantile", p), ("quantile", 0.3)):
+    for f, arg in (("pdf", x), ("cdf", x), ("cdf", 0.7), ("quantile", p),
+                   ("quantile", 0.3)):
         assert np.array_equal(getattr(mine, f)(arg), getattr(ref, f)(arg)), f
     a, b = TiltedDistribution(mine, beta), TiltedDistribution(ref, beta)
-    for f, arg in (("cdf", x), ("sf", x), ("quantile", p), ("cdf", 0.7)):
+    for f, arg in (("cdf", x), ("sf", x), ("pdf", x), ("hazard", x),
+                   ("quantile", p), ("cdf", 0.7)):
         assert np.array_equal(getattr(a, f)(arg), getattr(b, f)(arg)), f
     assert a.moment(2.0) == b.moment(2.0)
-    assert np.allclose(a.pdf(x), b.pdf(x), rtol=1e-12, atol=0.0)
-    c = TiltedDistribution(_PairAndLogPdfExponential(rate), beta)
-    assert np.array_equal(c.pdf(x), b.pdf(x))
-    assert c.mode() == b.mode()
+    assert a.mode() == b.mode()

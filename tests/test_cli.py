@@ -15,6 +15,7 @@ from tiltreg import (
     fit,
     ingest_csv,
 )
+from tiltreg import regression
 from tiltreg.cli import main
 from tiltreg.data import design_matrices, table_from_schema
 
@@ -197,14 +198,26 @@ class TestFitCommand:
         rewritten = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert rewritten.encode() == out.read_bytes()
 
-    def test_nonconvergence_exit_code(self, tmp_path, lime_path, capsys):
+    def test_nonconvergence_exit_code(self, tmp_path, lime_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(regression, "_MAX_ITER", 1)
         out = tmp_path / "model.json"
         code = main([
             "fit", "--data", str(lime_path), "--response", "Foliage",
-            "--mu", "Age", "Origin", "--out", str(out), "--max-iter", "1",
+            "--mu", "Age", "Origin", "--out", str(out),
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_iteration_cap_is_not_an_option(self, tmp_path, lime_path, capsys):
+        out = tmp_path / "model.json"
+        code = main([
+            "fit", "--data", str(lime_path), "--response", "Foliage",
+            "--out", str(out), "--max-iter", "1",
+        ])
+        assert code == 1
+        assert "--max-iter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["fit", "--nonsense"]) == 1
@@ -565,6 +578,13 @@ class TestDistCommand:
         assert main(["dist", "hrf", "--beta", "1", "--lambda", "1",
                      "--x", "40"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_pdf_at_infinity(self, capsys):
+        assert main(["dist", "pdf", "--beta", "0.5", "--lambda", "1",
+                     "--x", "inf"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0\n"
+        assert captured.err == ""
 
 
 class TestSampleCommand:

@@ -20,6 +20,7 @@ from tiltreg import (
     quantile_residuals,
     render_svg,
 )
+from tiltreg import regression
 from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _pad_limits
 from tests.conftest import simulate_intercept_only
 
@@ -109,10 +110,11 @@ class TestQuantileResiduals:
         assert np.all(np.isfinite(r))
         assert np.max(np.abs(r)) < 8.5
 
-    def test_warns_on_nonconverged_fit(self):
+    def test_warns_on_nonconverged_fit(self, monkeypatch):
+        monkeypatch.setattr(regression, "_MAX_ITER", 1)
         spec = simulate_intercept_only(300, 3.0, 0.5, seed=6)
         with pytest.warns(RuntimeWarning):
-            model = fit(spec, max_iter=1)
+            model = fit(spec)
         with pytest.warns(RuntimeWarning):
             quantile_residuals(model, spec)
 

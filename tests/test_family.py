@@ -91,6 +91,20 @@ class TestPdf:
         v = d.pdf(500.0)
         assert np.isfinite(v) and v >= 0.0
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0])
+    def test_density_at_infinity_is_zero(self, beta):
+        # log Gbar = -inf meets (beta-1) log Gbar = +inf or 0*inf: no nan and
+        # no floating-point warning, and finite points in the same call keep
+        # their values
+        d = tilted(1.0, beta)
+        x = np.array([0.5, 3.0, math.inf])
+        with np.errstate(all="raise"):
+            assert d.log_pdf(math.inf) == -math.inf
+            assert d.pdf(math.inf) == 0.0
+            log_f = d.log_pdf(x)
+        assert log_f[2] == -math.inf
+        assert np.array_equal(log_f[:2], d.log_pdf(x[:2]))
+
 
 class TestSurvivalAndHazard:
     def test_sf_at_origin(self):
@@ -209,8 +223,8 @@ class _Uniform(BaselineDistribution):
     def cdf(self, y):
         return _require_probability(y, "y")
 
-    def pdf(self, y):
-        return np.ones_like(_require_probability(y, "y"))
+    def log_pdf(self, y):
+        return np.zeros_like(_require_probability(y, "y"))
 
     def quantile(self, p):
         return _require_probability(p)
@@ -606,9 +620,10 @@ class _LogLogistic(BaselineDistribution):
     def __init__(self, shape: float, scale: float):
         self.shape, self.scale = shape, scale
 
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=float) / self.scale) ** self.shape
-        return self.shape / np.asarray(x, dtype=float) * z / (1.0 + z) ** 2
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        log_z = self.shape * np.log(x / self.scale)
+        return np.log(self.shape / x) + log_z - 2.0 * np.logaddexp(0.0, log_z)
 
     def log_sf(self, x):
         return -np.log1p((np.asarray(x, dtype=float) / self.scale) ** self.shape)
@@ -726,8 +741,8 @@ def test_baseline_with_negative_support_rejected():
         def cdf(self, x):
             return norm.cdf(x, loc=2.0)
 
-        def pdf(self, x):
-            return norm.pdf(x, loc=2.0)
+        def log_pdf(self, x):
+            return norm.logpdf(x, loc=2.0)
 
         def quantile(self, p):
             return norm.ppf(p, loc=2.0)

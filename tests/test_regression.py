@@ -18,6 +18,7 @@ from tiltreg import (
     predict,
     wald_test,
 )
+from tiltreg import regression
 from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
 from tiltreg.regression import (
     _BLOCK, _EXACT_MAX, _exact_row_sums, _information_inverse, _score_and_hessian,
@@ -551,10 +552,11 @@ class TestFit:
         med_scaled = predict(scaled, np.column_stack([np.ones(n), age * 10.0]), Z)[0]
         assert np.max(np.abs(med_base - med_scaled)) < 1e-8
 
-    def test_nonconvergence_flagged_not_raised(self):
+    def test_nonconvergence_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(regression, "_MAX_ITER", 1)
         spec = simulate_intercept_only(500, 3.0, 0.5, seed=31)
         with pytest.warns(RuntimeWarning):
-            model = fit(spec, max_iter=1)
+            model = fit(spec)
         assert not model.converged
         assert model.iterations <= 1
 
@@ -562,9 +564,10 @@ class TestFit:
         assert lime_fit.converged
         assert lime_fit.iterations <= 12
 
-    def test_unused_iterations_budget(self):
+    def test_unused_iterations_budget(self, monkeypatch):
+        monkeypatch.setattr(regression, "_MAX_ITER", 500)
         spec = simulate_intercept_only(500, 3.0, 0.5, seed=31)
-        model = fit(spec, max_iter=500)
+        model = fit(spec)
         assert model.converged
         assert model.iterations < 500
 
