@@ -10,6 +10,7 @@ specification error, 2 numerical non-convergence, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -45,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process.  It holds no handlers: ``main``
+    looks ``cmd_<command>`` up at each call, so rebinding one takes effect."""
     parser = _Parser(prog="tiltreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -59,20 +63,17 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out", required=True, help="output model JSON file")
     p_fit.add_argument("--plots", metavar="PREFIX",
                        help="write PREFIX_qq.svg and PREFIX_worm.svg")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="fitted medians for new data")
     p_pred.add_argument("--model", required=True, help="model JSON from fit")
     p_pred.add_argument("--data", required=True, help="CSV with covariates")
     p_pred.add_argument("--out", required=True, help="output CSV")
-    p_pred.set_defaults(func=cmd_predict)
 
     p_res = sub.add_parser("residuals", help="quantile residuals as CSV")
     p_res.add_argument("--model", required=True, help="model JSON from fit")
     p_res.add_argument("--data", required=True,
                        help="CSV with response and covariates")
     p_res.add_argument("--out", required=True, help="output CSV")
-    p_res.set_defaults(func=cmd_residuals)
 
     p_dist = sub.add_parser("dist", help="evaluate distribution functions")
     p_dist.add_argument("function",
@@ -85,7 +86,6 @@ def _build_parser() -> _Parser:
                         help="evaluation points for cdf/pdf/sf/hrf")
     p_dist.add_argument("--p", nargs="+", type=float,
                         help="probabilities (quantile) or moment orders")
-    p_dist.set_defaults(func=cmd_dist)
 
     p_samp = sub.add_parser("sample", help="seeded random draws as CSV")
     p_samp.add_argument("--n", type=int, required=True)
@@ -95,7 +95,6 @@ def _build_parser() -> _Parser:
     p_samp.add_argument("--sigma", type=float)
     p_samp.add_argument("--seed", type=int, default=0)
     p_samp.add_argument("--out", required=True, help="output CSV")
-    p_samp.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -321,7 +320,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (SpecificationError, ValueError) as exc:

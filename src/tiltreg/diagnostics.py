@@ -231,11 +231,10 @@ def _pad_limits(*arrays: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _pixel_text(canvas: _Canvas, xs: np.ndarray, ys: np.ndarray):
-    """Yield the (x, y) pixel texts of the points, ``_CHUNK`` at a time."""
-    for start in range(0, len(xs), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        yield _centi_text(canvas.x(xs[rows])), _centi_text(canvas.y(ys[rows]))
+def _chunk_text(to_pixels, values: np.ndarray):
+    """Yield the pixel texts of ``values``, ``_CHUNK`` at a time."""
+    for start in range(0, len(values), _CHUNK):
+        yield _centi_text(to_pixels(values[start:start + _CHUNK]))
 
 
 def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
@@ -247,8 +246,8 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
     0.01 px, the ``.2f`` text built from its integer number of centi-pixels
     (``_centi_text``).  Circles and band vertices are built as byte arrays,
     joined element-wise with the fixed markup, and written ``_CHUNK`` points
-    at a time, so neither the document nor n-length arrays of text are held
-    in memory.
+    at a time.  Only the x texts, shared by circles and bands, are held
+    whole (a few bytes per point); the y texts and the document are not.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")
@@ -274,18 +273,19 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
         f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
         f'fill="white"/>\n'
     )
+    x_text = list(_chunk_text(canvas.x, pts[:, 0]))
     with open(path, "wb") as fh:
         fh.write("".join([head, *(f"{element}\n" for element in elements)])
                  .encode("utf-8"))
         for band in bands:
             fh.write(b'<polyline points="')
             skip = 1  # vertices are space-separated: none before the first
-            for tx, ty in _pixel_text(canvas, pts[:, 0], band):
+            for tx, ty in zip(x_text, _chunk_text(canvas.y, band)):
                 fh.write(memoryview(_join(b" ", tx, b",", ty))[skip:])
                 skip = 0
             fh.write(b'" fill="none" stroke="gray" '
                      b'stroke-width="1" stroke-dasharray="3,3"/>\n')
-        for tx, ty in _pixel_text(canvas, pts[:, 0], pts[:, 1]):
+        for tx, ty in zip(x_text, _chunk_text(canvas.y, pts[:, 1])):
             fh.write(_join(b'<circle cx="', tx, b'" cy="', ty,
                            b'" r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'))
         fh.write(b"</svg>\n")

@@ -82,12 +82,13 @@ def median_tilted_logpdf(x, mu, sigma):
 
 
 def median_tilted_derivatives(x, mu, sigma):
-    """(d_u, d_v, d_uu, d_uv, d_vv) of log f in u = log(mu), v = log(sigma).
+    """log f and (d_u, d_v, d_uu, d_uv, d_vv), its derivatives in u = log(mu)
+    and v = log(sigma).
 
-    Differentiates ``median_tilted_logpdf``'s log f = logaddexp(t1, t2) - b
-    from the same intermediates.  With the logaddexp weights w1, w2, the
-    Hessian of logaddexp(t1, t2) is w1 H(t1) + w2 H(t2) + w1 w2 dd' with
-    d = grad t1 - grad t2.  Vectorized.
+    log f = logaddexp(t1, t2) - b comes from the same intermediates and
+    operations as in ``median_tilted_logpdf``, so the two are equal bit for
+    bit.  With the logaddexp weights w1, w2, the Hessian of logaddexp(t1, t2)
+    is w1 H(t1) + w2 H(t2) + w1 w2 dd' with d = grad t1 - grad t2.  Vectorized.
     """
     c, L, logL, r, lx, E, a, b, t1, t2 = _log_density_terms(x, mu, sigma)
     sigma = np.asarray(sigma, dtype=float)
@@ -105,6 +106,7 @@ def median_tilted_derivatives(x, mu, sigma):
     t2_u, t2_v = -k1 - 1.0 - a, sc * k1 + l_v / logL + r * l_v
     du, dv, w12 = t1_u - t2_u, t1_v - t2_v, w1 * w2
     return (
+        s - b,
         w1 * t1_u + w2 * t2_u + a * b,
         w1 * t1_v + w2 * t2_v - b * r * l_v,
         -w1 * lx + w2 * (k1 - k2 + a) + w12 * du * du - b * a * (1.0 + a),

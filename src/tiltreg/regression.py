@@ -6,10 +6,10 @@ Each response ``y_i`` follows the median-parameterized tilted exponential with
     log(sigma_i) = z_i' gamma        (shape submodel, design Z)
 
 and the joint coefficient vector theta = (alpha, gamma) is estimated by
-maximum likelihood in one damped Newton loop, whose score and analytic Hessian
-come from one pass of the fused kernel ``median_tilted_derivatives`` over the
-data.  Standard errors come from the inverse observed information (negative of
-that Hessian at the optimum) and hypothesis tests are Wald z-tests.
+maximum likelihood in one damped Newton loop, where one pass of the fused
+kernel ``median_tilted_derivatives`` gives log-likelihood, score and Hessian.
+Standard errors come from the inverse observed information (negative of that
+Hessian at the optimum) and hypothesis tests are Wald z-tests.
 """
 
 from __future__ import annotations
@@ -209,35 +209,37 @@ def log_likelihood(spec: ModelSpec, theta) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _score_and_hessian(spec: ModelSpec, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Score and Hessian of the log-likelihood at theta, in one pass.
+def _loglik_score_and_hessian(spec: ModelSpec, theta):
+    """(log-likelihood, score, Hessian) at theta, in one pass.
 
-    Chains the kernel's link-coordinate derivatives through the designs in
-    row blocks of ``_BLOCK``: the score is (W'd_u, Z'd_v), the Hessian has the
-    blocks W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly
-    rounded sum (``_row_sums``), so both are independent of observation order
-    and blocking.  An entry whose terms hold inf and -inf, or whose sum
-    overflows, is nan.
+    Chains the kernel's log f and link-coordinate derivatives through the
+    designs in row blocks of ``_BLOCK``: the sum of log f is ``log_likelihood``
+    bit for bit, the score is (W'd_u, Z'd_v), the Hessian has the blocks
+    W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly rounded sum
+    (``_row_sums``), independent of observation order and blocking.  A score
+    or Hessian entry whose terms hold inf and -inf, or whose sum overflows,
+    is nan.
     """
     p1, p = spec.n_mu_coefs, spec.n_coefs
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
     def block_terms(rows, y, mu, sigma):
-        d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
+        log_f, d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
         cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
-        terms = np.empty((p + len(pairs), y.size))
+        terms = np.empty((1 + p + len(pairs), y.size))
+        terms[0] = log_f
         for i in range(p):
-            np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[i])
-        for k, (i, j) in enumerate(pairs, start=p):
+            np.multiply(cols[i], d_u if i < p1 else d_v, out=terms[1 + i])
+        for k, (i, j) in enumerate(pairs, start=1 + p):
             d = d_uu if j < p1 else d_uv if i < p1 else d_vv
             np.multiply(cols[i] * cols[j], d, out=terms[k])
         return terms
 
-    sums = _row_sums(spec, theta, block_terms)
+    ll, *sums = _row_sums(spec, theta, block_terms)
     H = np.empty((p, p))
     for k, (i, j) in enumerate(pairs, start=p):
         H[i, j] = H[j, i] = sums[k]
-    return np.array(sums[:p]), H
+    return ll if math.isfinite(ll) else -math.inf, np.array(sums[:p]), H
 
 
 def _cholesky_solve(J: np.ndarray, b: np.ndarray, shifts=(0.0,)):
@@ -337,7 +339,10 @@ def fit(spec: ModelSpec) -> FittedModel:
     loop from ``_initial_theta``: each iteration solves J step = score with
     the observed information J = -H from one derivative pass, shifting J's
     diagonal where its Cholesky fails, and halves the step until the
-    log-likelihood does not fall.  The loop stops once the score's
+    log-likelihood does not fall.  After a full-length step, the next full
+    step is tried with the derivative pass, and its score and Hessian are
+    kept if it is taken; other trial points, which step halving may reject,
+    get the cheaper ``log_likelihood``.  The loop stops once the score's
     max-norm is below ``_GRAD_TOL`` and the relative log-likelihood change
     below ``_LL_TOL``.  The standard errors use the inverse of the last
     iterate's J (InferenceError if a converged J is not positive definite).
@@ -349,14 +354,14 @@ def fit(spec: ModelSpec) -> FittedModel:
     _check_full_rank(spec.mu_design, "mu_design", spec.mu_names)
     _check_full_rank(spec.sigma_design, "sigma_design", spec.sigma_names)
     theta = _initial_theta(spec)
-    ll = log_likelihood(spec, theta)
+    ll, g, H = _loglik_score_and_hessian(spec, theta)
     if not np.isfinite(ll):
         raise InferenceError("log-likelihood is not finite at the initial point")
 
     iterations = 0
     converged = False
     rel_change = math.inf
-    g, H = _score_and_hessian(spec, theta)
+    full_step = False
     gnorm = float(np.max(np.abs(g)))
     while True:
         if gnorm < _GRAD_TOL and rel_change < _LL_TOL:
@@ -370,9 +375,11 @@ def fit(spec: ModelSpec) -> FittedModel:
         if step is None or not np.all(np.isfinite(step)):
             break
         scale = 1.0
-        ll_new = log_likelihood(spec, theta + step)
+        fused = _loglik_score_and_hessian(spec, theta + step) if full_step else None
+        ll_new = fused[0] if fused else log_likelihood(spec, theta + step)
         while scale > 1e-8 and not (np.isfinite(ll_new) and ll_new >= ll - 1e-12):
             scale *= 0.5
+            fused = None
             ll_new = log_likelihood(spec, theta + scale * step)
         if scale <= 1e-8:
             break
@@ -380,7 +387,8 @@ def fit(spec: ModelSpec) -> FittedModel:
         rel_change = abs(ll_new - ll) / max(1.0, abs(ll_new))
         ll = ll_new
         iterations += 1
-        g, H = _score_and_hessian(spec, theta)
+        full_step = scale == 1.0
+        _, g, H = fused or _loglik_score_and_hessian(spec, theta)
         gnorm = float(np.max(np.abs(g)))
 
     p = spec.n_coefs

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from tiltreg import regression
+from tiltreg import cli, regression
 from tests.conftest import simulate_intercept_only
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -65,3 +65,18 @@ def test_workload_op_is_correct_traced_and_untraced(name, tmp_path, monkeypatch)
         traced = workload.op()
     assert workload.check(traced) is None
     assert workload.check(workload.op()) is None
+
+
+def test_cli_dispatch_follows_the_tracer(tmp_path):
+    # main keeps one parser per process; the handler it calls must be the
+    # one bound at call time, wrapped only while the tracer is installed.
+    argv = ["sample", "--n", "5", "--beta", "1", "--lambda", "1",
+            "--out", str(tmp_path / "draws.csv")]
+    assert cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.cmd_sample") == 1
+    assert cli.main(argv) == 0
+    assert [span[0] for span in tracer.spans] == names

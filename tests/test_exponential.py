@@ -257,8 +257,19 @@ class TestDerivativeKernel:
                         - b)
 
             at = (mpmath.mpf(u), mpmath.mpf(v))
-            want = [mpmath.diff(log_f, at, order)
-                    for order in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+            orders = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+            want = [log_f(*at)] + [mpmath.diff(log_f, at, order) for order in orders]
+            assert len(got) == len(want)
             for g, w in zip(got, want):
                 if abs(w) > 1e-300:
                     assert abs((mpmath.mpf(float(g)) - w) / w) < 1e-10
+
+    def test_log_density_is_logpdf_bitwise(self):
+        u, v, ratio = (np.array(col) for col in zip(*(p.values for p in self.POINTS)))
+        mu, sigma = np.exp(u), np.exp(v)
+        x = ratio * mu
+        assert np.array_equal(median_tilted_derivatives(x, mu, sigma)[0],
+                              median_tilted_logpdf(x, mu, sigma), equal_nan=True)
+        for args in zip(x, mu, sigma):
+            assert np.array_equal(median_tilted_derivatives(*args)[0],
+                                  median_tilted_logpdf(*args), equal_nan=True)

@@ -21,7 +21,8 @@ from tiltreg import (
 from tiltreg import regression
 from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
 from tiltreg.regression import (
-    _BLOCK, _EXACT_MAX, _exact_row_sums, _information_inverse, _score_and_hessian,
+    _BLOCK, _EXACT_MAX, _exact_row_sums, _information_inverse,
+    _loglik_score_and_hessian,
 )
 from tests.conftest import simulate_intercept_only
 
@@ -200,7 +201,8 @@ def fsum_or_nan(values):
 
 def unblocked_loglik_score_and_hessian(spec, theta):
     """log_likelihood and the derivative pass as whole-array expressions; an
-    entry for which math.fsum raises is nan."""
+    entry for which math.fsum raises is nan.  Checks on the way that the
+    kernel's log f is ``median_tilted_logpdf`` bit for bit."""
     alpha, gamma = spec.split(theta)
     p1, p = spec.n_mu_coefs, spec.n_coefs
     X = np.hstack([spec.mu_design, spec.sigma_design])
@@ -208,12 +210,13 @@ def unblocked_loglik_score_and_hessian(spec, theta):
         mu = np.exp(spec.mu_design @ alpha)
         sigma = np.exp(spec.sigma_design @ gamma)
         terms = median_tilted_logpdf(spec.response, mu, sigma)
-        d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(
+        log_f, d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(
             spec.response, mu, sigma)
         score = [X[:, i] * (d_u if i < p1 else d_v) for i in range(p)]
         hess = {(i, j): X[:, i] * X[:, j] * (d_uu if j < p1 else d_uv if i < p1
                                              else d_vv)
                 for i in range(p) for j in range(i, p)}
+    assert np.array_equal(log_f, terms, equal_nan=True)
     ll = fsum_or_nan(terms.tolist()) if np.all(np.isfinite(terms)) else -math.inf
     H = np.empty((p, p))
     for (i, j), t in hess.items():
@@ -251,10 +254,17 @@ class TestRowBlocks:
             sigma_design=spec.sigma_design[perm],
         )
         for s in (spec, shuffled):
-            assert log_likelihood(s, theta) == ll
-            g_s, H_s = _score_and_hessian(s, theta)
-            assert np.array_equal(g_s, score, equal_nan=True)
-            assert np.array_equal(H_s, H, equal_nan=True)
+            self.assert_reproduces(s, theta, ll, score, H)
+
+    @staticmethod
+    def assert_reproduces(spec, theta, ll, score, H):
+        """``log_likelihood`` and the derivative pass give the unblocked
+        values bit for bit, and the pass's log-likelihood is the former's."""
+        ll_s, g_s, H_s = _loglik_score_and_hessian(spec, theta)
+        assert log_likelihood(spec, theta) == ll
+        assert ll_s == ll
+        assert np.array_equal(g_s, score, equal_nan=True)
+        assert np.array_equal(H_s, H, equal_nan=True)
 
     @staticmethod
     def with_extreme_rows(spec, covariates):
@@ -282,10 +292,7 @@ class TestRowBlocks:
         ll, score, H = unblocked_loglik_score_and_hessian(extreme, theta)
         assert np.isinf(score).any() and np.isinf(H).any() and math.isfinite(ll)
         for s in (extreme, self.permuted(extreme)):
-            assert log_likelihood(s, theta) == ll
-            g_s, H_s = _score_and_hessian(s, theta)
-            assert np.array_equal(g_s, score, equal_nan=True)
-            assert np.array_equal(H_s, H, equal_nan=True)
+            self.assert_reproduces(s, theta, ll, score, H)
 
     def test_inf_minus_inf_gives_nan_and_an_unconverged_fit(self, spec):
         # Two rows in different blocks give +inf and -inf terms to the score
@@ -298,15 +305,19 @@ class TestRowBlocks:
         assert np.isnan(score[2]) and np.isnan(H[2]).sum() == 3
         assert np.isinf(H[1, 1]) and math.isfinite(ll)
         for s in (extreme, self.permuted(extreme)):
-            assert log_likelihood(s, theta) == ll
-            g_s, H_s = _score_and_hessian(s, theta)
-            assert np.array_equal(g_s, score, equal_nan=True)
-            assert np.array_equal(H_s, H, equal_nan=True)
+            self.assert_reproduces(s, theta, ll, score, H)
         with pytest.warns(RuntimeWarning, match="did not converge"):
             model = fit(extreme)
         assert not model.converged and model.iterations == 0
         assert np.isnan(model.gradient_max_norm)
         assert np.all(np.isnan(model.info_inverse))
+
+    def test_fitted_loglik_is_exact_on_permuted_rows(self, spec):
+        # The last log-likelihood of a fit may come from the derivative pass.
+        model = fit(spec)
+        assert model.converged
+        assert model.loglik_at_optimum == log_likelihood(self.permuted(spec),
+                                                         model.theta_hat)
 
     def test_peak_memory_does_not_grow_with_n(self):
         peaks = []
@@ -318,10 +329,10 @@ class TestRowBlocks:
                 sigma_design=np.column_stack([np.ones(n), x[:, 1]]),
             )
             theta = np.array([0.7, 0.1, -0.4, 0.1])
-            _score_and_hessian(spec, theta)
+            _loglik_score_and_hessian(spec, theta)
             tracemalloc.start()
             try:
-                _score_and_hessian(spec, theta)
+                _loglik_score_and_hessian(spec, theta)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -414,7 +425,7 @@ class TestDerivatives:
         rng = np.random.default_rng(0)
         for _ in range(5):
             theta = np.array([rng.normal(1.0, 0.2), rng.normal(-0.6, 0.2)])
-            g = _score_and_hessian(spec, theta)[0]
+            g = _loglik_score_and_hessian(spec, theta)[1]
             for j in range(2):
                 h = 1e-5 * max(1.0, abs(theta[j]))
                 e = np.zeros(2)
@@ -435,19 +446,20 @@ class TestDerivatives:
         )
         for theta in ([0.7, 0.0, 0.0, -0.5, 0.0], [0.5, 0.3, -0.2, -0.3, 0.2]):
             theta = np.array(theta)
-            H = _score_and_hessian(spec, theta)[1]
+            H = _loglik_score_and_hessian(spec, theta)[2]
             fd = np.empty_like(H)
             for j in range(theta.size):
                 e = np.zeros(theta.size)
                 e[j] = 1e-5 * max(1.0, abs(theta[j]))
-                fd[:, j] = (_score_and_hessian(spec, theta + e)[0]
-                            - _score_and_hessian(spec, theta - e)[0]) / (2 * e[j])
+                g_plus = _loglik_score_and_hessian(spec, theta + e)[1]
+                g_minus = _loglik_score_and_hessian(spec, theta - e)[1]
+                fd[:, j] = (g_plus - g_minus) / (2 * e[j])
             np.testing.assert_allclose(H, fd, rtol=1e-6)
 
     def test_observed_information_symmetric_and_cross_checked(self, lime_spec,
                                                               lime_fit):
         # J as fit forms it, and the inverse the fitted model carries
-        J = -_score_and_hessian(lime_spec, lime_fit.theta_hat)[1]
+        J = -_loglik_score_and_hessian(lime_spec, lime_fit.theta_hat)[2]
         J_inv = lime_fit.info_inverse
         assert np.max(np.abs(J - J.T)) < 1e-8
         # independent route: four-point second differences of the likelihood
@@ -463,15 +475,15 @@ class TestDerivatives:
             mu_design=lime_spec.mu_design[perm],
             sigma_design=lime_spec.sigma_design[perm],
         )
-        J = _score_and_hessian(lime_spec, lime_fit.theta_hat)[1]
-        J_shuffled = _score_and_hessian(shuffled, lime_fit.theta_hat)[1]
+        J = _loglik_score_and_hessian(lime_spec, lime_fit.theta_hat)[2]
+        J_shuffled = _loglik_score_and_hessian(shuffled, lime_fit.theta_hat)[2]
         assert np.array_equal(J, J_shuffled)
         assert np.array_equal(_information_inverse(-J),
                               _information_inverse(-J_shuffled))
 
     def test_information_rejects_saddle(self):
         spec = simulate_intercept_only(200, 3.0, 0.5, seed=11)
-        H = _score_and_hessian(spec, np.array([5.0, 3.0]))[1]
+        H = _loglik_score_and_hessian(spec, np.array([5.0, 3.0]))[2]
         with pytest.raises(InferenceError, match="not positive definite"):
             _information_inverse(-H)
 
@@ -517,7 +529,7 @@ class TestFit:
         model = fit(spec)
         assert model.converged
         assert model.gradient_max_norm < 1e-6
-        g = _score_and_hessian(spec, model.theta_hat)[0]
+        g = _loglik_score_and_hessian(spec, model.theta_hat)[1]
         assert np.max(np.abs(g)) < 1e-6
 
     def test_permutation_invariance(self):
@@ -559,6 +571,26 @@ class TestFit:
             model = fit(spec)
         assert not model.converged
         assert model.iterations <= 1
+
+    def test_lime_passes_over_the_data(self, lime_spec, monkeypatch):
+        # 8 iterations with 6 rejected trial points: full steps after full
+        # steps are tried with the derivative pass, the rest with
+        # log_likelihood (15 and 9 passes when every trial used log_likelihood).
+        counts = {}
+
+        def counted(name):
+            original = getattr(regression, name)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(regression, name, wrapper)
+
+        counted("log_likelihood")
+        counted("_loglik_score_and_hessian")
+        model = fit(lime_spec)
+        assert model.converged and model.iterations == 8
+        assert counts == {"log_likelihood": 11, "_loglik_score_and_hessian": 9}
 
     def test_lime_converges_in_few_newton_steps(self, lime_fit):
         assert lime_fit.converged
