@@ -41,13 +41,22 @@ def _shape_constants(sigma):
     return sigma + _LOG2, L, np.log(L)
 
 
-def _log_density_terms(x, mu, sigma):
-    """Intermediates of log f = logaddexp(t1, t2) - b at r = x/mu.
+def _log_sum_exp(t1, t2):
+    """log(e^t1 + e^t2) as max(t1, t2) + log1p(e^-|t1 - t2|), branch-free.
 
-    Returns (c, L, logL, r, lx, E, a, b, t1, t2) with lx = c r,
-    E = 1 - e^-lx, a = r logL, b = e^a = L^r, t1 = log c - log mu - lx and
-    t2 = log E + log(-logL) - log mu + a: the density's two terms
-    (c/mu) e^-lx and (-logL/mu) E L^r, times e^-b.
+    np.logaddexp's form in vector passes, not its scalar loop.  fmin(nan, 1)
+    adds log 2 where both terms are the same infinity; nan stays nan."""
+    m = np.maximum(t1, t2)
+    return m + np.log1p(np.fmin(np.exp(np.minimum(t1, t2) - m), 1.0))
+
+
+def _log_density_terms(x, mu, sigma):
+    """Intermediates of log f = log(e^t1 + e^t2) - b at r = x/mu.
+
+    Returns (c, L, logL, r, lx, E, a, b, t1, t2, s) with lx = c r,
+    E = 1 - e^-lx, a = r logL, b = e^a = L^r, t1 = log c - log mu - lx,
+    t2 = log E + log(-logL) - log mu + a and s = log(e^t1 + e^t2): the
+    density's two terms (c/mu) e^-lx and (-logL/mu) E L^r, times e^-b.
     """
     x, mu, sigma = (np.asarray(v, dtype=float) for v in (x, mu, sigma))
     c, L, logL = _shape_constants(sigma)
@@ -58,7 +67,7 @@ def _log_density_terms(x, mu, sigma):
     log_mu = np.log(mu)
     t1 = np.log(c) - log_mu - lx
     t2 = np.log(E) + np.log(-logL) - log_mu + a
-    return c, L, logL, r, lx, E, a, np.exp(a), t1, t2
+    return c, L, logL, r, lx, E, a, np.exp(a), t1, t2, _log_sum_exp(t1, t2)
 
 
 def median_tilted_cdf(x, mu, sigma):
@@ -74,47 +83,50 @@ def median_tilted_cdf(x, mu, sigma):
 def median_tilted_logpdf(x, mu, sigma):
     """Log-density of the median parameterization, vectorized and overflow-free.
 
-    log f = logaddexp(t1, t2) - L^(x/mu), from ``_log_density_terms``; only
+    log f = log(e^t1 + e^t2) - L^(x/mu), from ``_log_density_terms``; only
     e^(-c x/mu) is formed, so large x/mu cannot overflow.
     """
-    *_, b, t1, t2 = _log_density_terms(x, mu, sigma)
-    return np.logaddexp(t1, t2) - b
+    *_, b, t1, t2, s = _log_density_terms(x, mu, sigma)
+    return s - b
 
 
 def median_tilted_derivatives(x, mu, sigma):
     """log f and (d_u, d_v, d_uu, d_uv, d_vv), its derivatives in u = log(mu)
     and v = log(sigma).
 
-    log f = logaddexp(t1, t2) - b comes from the same intermediates and
-    operations as in ``median_tilted_logpdf``, so the two are equal bit for
-    bit.  With the logaddexp weights w1, w2, the Hessian of logaddexp(t1, t2)
-    is w1 H(t1) + w2 H(t2) + w1 w2 dd' with d = grad t1 - grad t2.  Vectorized.
+    log f = s - b comes from the same intermediates and operations as in
+    ``median_tilted_logpdf``, so the two are equal bit for bit.  With the
+    weights w1 = e^(t1 - s) and w2 = e^(t2 - s), the Hessian of
+    s = log(e^t1 + e^t2) is w1 H(t1) + w2 H(t2) + w1 w2 dd' with
+    d = grad t1 - grad t2.  Vectorized.
     """
-    c, L, logL, r, lx, E, a, b, t1, t2 = _log_density_terms(x, mu, sigma)
+    c, L, logL, r, lx, E, a, b, t1, t2, s = _log_density_terms(x, mu, sigma)
     sigma = np.asarray(sigma, dtype=float)
     sc = sigma / c
     q = 1.0 / (2.0 * np.exp(sigma) - 1.0)  # dL/dc = e^-c / (1 - e^-c)
     l_v = sigma * q / L  # d logL / dv, then d2 logL / dv2
     l_vv = l_v - sigma * sigma * (q * (1.0 + q) / L + (q / L) ** 2)
+    lv_logL, r_lv, r_lvv = l_v / logL, r * l_v, r * l_vv
+    ab, br_lv, a1 = a * b, b * r_lv, 1.0 + a
     # k1 = lx/(e^lx - 1), k2 = lx^2 e^lx/(e^lx - 1)^2: from 1 at lx = 0 to 0.
     k1 = lx * np.exp(-lx) / E
     k2 = k1 * lx / E
-    s = np.logaddexp(t1, t2)
+    dk = k1 - k2
     w1 = np.exp(t1 - s)
     w2 = np.exp(t2 - s)
     t1_u, t1_v = lx - 1.0, sc * (1.0 - lx)
-    t2_u, t2_v = -k1 - 1.0 - a, sc * k1 + l_v / logL + r * l_v
+    t2_u, t2_v = -1.0 - k1 - a, sc * k1 + lv_logL + r_lv
     du, dv, w12 = t1_u - t2_u, t1_v - t2_v, w1 * w2
+    w1_sc, w12_du = w1 * sc, w12 * du
     return (
         s - b,
-        w1 * t1_u + w2 * t2_u + a * b,
-        w1 * t1_v + w2 * t2_v - b * r * l_v,
-        -w1 * lx + w2 * (k1 - k2 + a) + w12 * du * du - b * a * (1.0 + a),
-        w1 * sc * lx + w2 * (sc * (k2 - k1) - r * l_v) + w12 * du * dv
-        + b * r * l_v * (1.0 + a),
-        w1 * sc * (_LOG2 / c - lx)
-        + w2 * (sc * (k1 - sc * k2) + l_vv / logL - (l_v / logL) ** 2 + r * l_vv)
-        + w12 * dv * dv - b * r * (l_vv + r * l_v * l_v),
+        w1 * t1_u + w2 * t2_u + ab,
+        w1 * t1_v + w2 * t2_v - br_lv,
+        w2 * (dk + a) - w1 * lx + w12_du * du - ab * a1,
+        w1_sc * lx - w2 * (sc * dk + r_lv) + w12_du * dv + br_lv * a1,
+        w1_sc * (_LOG2 / c - lx)
+        + w2 * (sc * (k1 - sc * k2) + l_vv / logL - lv_logL * lv_logL + r_lvv)
+        + w12 * dv * dv - b * r_lvv - br_lv * r_lv,
     )
 
 

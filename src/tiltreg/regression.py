@@ -75,9 +75,9 @@ def _check_full_rank(m: np.ndarray, label: str, names: tuple[str, ...]):
 class ModelSpec:
     """Response vector plus the two design matrices and coefficient names.
 
-    Checks the data only: shapes, row counts, strictly positive finite
-    responses and one name per column.  ``fit`` checks that the coefficients
-    are estimable, so residuals can be taken on any rows.
+    Checks the data only: shapes, at least one row, row counts, strictly
+    positive finite responses and one name per column.  ``fit`` checks that
+    the coefficients are estimable, so residuals can be taken on any rows.
     """
 
     response: np.ndarray
@@ -90,6 +90,8 @@ class ModelSpec:
         y = np.asarray(self.response, dtype=float).ravel()
         W = _as_matrix(self.mu_design, "mu_design")
         Z = _as_matrix(self.sigma_design, "sigma_design")
+        if y.size == 0:
+            raise SpecificationError("no observations")
         if np.any(~(y > 0)) or np.any(~np.isfinite(y)):
             raise SpecificationError("all responses must be strictly positive")
         if W.shape[0] != y.size or Z.shape[0] != y.size:
@@ -138,9 +140,11 @@ def _exact_row_sums(blocks) -> list[float] | None:
     q = (sigma + p) - sigma and p - q are exact, and so is sum(q) in any
     order.  Each pass keeps sum(q) per row and leaves p - q, whose terms are
     at most 2**(k - 53) times the previous maximum, until every row is zero.
-    One math.fsum of a row's few partial sums is then the correctly rounded
-    sum of its terms: equal to math.fsum over the row bit for bit, and
-    independent of the order of the terms and of the blocking.
+    A row leaves the extraction once it is all zero, so later passes touch
+    only the rows that still hold terms.  One math.fsum of a row's few
+    partial sums is then the correctly rounded sum of its terms: equal to
+    math.fsum over the row bit for bit, and independent of the order of the
+    terms and of the blocking.
 
     The blocks are overwritten.  None, found before a block is modified, when
     a block holds a non-finite term or one of magnitude at least _EXACT_MAX:
@@ -148,22 +152,30 @@ def _exact_row_sums(blocks) -> list[float] | None:
     would not (nan and inf in one block and -inf in another give nan, where
     fsum over the row raises ValueError).
     """
-    partials = []
+    partials = []  # partials[i]: row i's exact partial sums
     for block in blocks:
-        top = np.abs(block).max(axis=1)
+        top = np.maximum(block.max(axis=1), -block.min(axis=1))
         if not np.all(top < _EXACT_MAX):  # nan fails too
             return None
+        partials = partials or [[] for _ in block]
         k = (block.shape[1] + 1).bit_length()  # ceil(log2(m + 2))
+        live = np.arange(len(block))
         q = np.empty_like(block)
-        while top.any():
+        while live.size:
+            if not top.all():  # drop the rows that are all zero
+                keep = top > 0
+                live, block, top = live[keep], block[keep], top[keep]
+                q = q[:live.size]
+                continue
             sigma = np.ldexp(1.0, np.frexp(top)[1] + k)[:, None]
             np.add(sigma, block, out=q)
             q -= sigma
             block -= q
-            partials.append(q.sum(axis=1))
-            top = np.abs(block, out=q).max(axis=1)
+            for i, s in zip(live.tolist(), q.sum(axis=1).tolist()):
+                partials[i].append(s)
+            top = np.maximum(block.max(axis=1), -block.min(axis=1))
         del block, q  # free both before the next block is formed
-    return [math.fsum(row) for row in np.reshape(partials, (-1, len(top))).T]
+    return [math.fsum(row) for row in partials]
 
 
 def _row_sums(spec: ModelSpec, theta, terms) -> list[float]:

@@ -136,7 +136,7 @@ class TestQuantileResiduals:
         # the lime residuals, pinned to the last bit by a digest of their bytes
         r = quantile_residuals(lime_fit, lime_spec)
         assert hashlib.sha256(r.tobytes()).hexdigest() == (
-            "26ac49b26b206572c2658605a4d04297069a8529cec2f940a740de001da61eba")
+            "e9ce4d5fddcba3c5c09bef2a65981e2d327bf71928bd9d5ce149a0c9b32dc348")
 
 
 # ---------------------------------------------------------------------------

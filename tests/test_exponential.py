@@ -14,6 +14,7 @@ from tiltreg import (
 )
 from tiltreg.cli import main
 from tiltreg.exponential import (
+    _log_density_terms,
     median_tilted_cdf,
     median_tilted_derivatives,
     median_tilted_logpdf,
@@ -23,6 +24,17 @@ LOG2 = math.log(2.0)
 
 mus = st.floats(min_value=0.1, max_value=100.0)
 sigmas = st.floats(min_value=0.01, max_value=10.0)
+
+
+def mp_logpdf(mpmath, x, mu, sigma):
+    """log f at the floats (x, mu, sigma), from the printed formula in mpmath."""
+    x, mu, sigma = (mpmath.mpf(float(v)) for v in (x, mu, sigma))
+    c = sigma + mpmath.log(2)
+    L = mpmath.log(2 * (1 - mpmath.exp(-c)))
+    r = x / mu
+    b = L ** r
+    return (mpmath.log(c / mu) - c * r - b
+            + mpmath.log(1 - mpmath.log(L) / c * mpmath.expm1(c * r) * b))
 
 
 def classical(beta, rate):
@@ -203,6 +215,21 @@ class TestMedianParameterization:
             worst = max(abs((mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want))
         assert worst < 1e-14
 
+    def test_logpdf_matches_40_digits_on_a_log_grid(self):
+        # 1000 seeded points with mu in e^[-3, 3], sigma in e^[-8, 3] and
+        # x/mu in e^[-20, 5]: within 2e-15 absolute, or relative beyond 1
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20081)
+        mu, sigma, ratio = np.exp(rng.uniform([-3, -8, -20], [3, 3, 5], (1000, 3))).T
+        x = ratio * mu
+        got = median_tilted_logpdf(x, mu, sigma)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for args, g in zip(zip(x, mu, sigma), got):
+                want = mp_logpdf(mpmath, *args)
+                worst = max(worst, abs(g - want) / max(1, abs(want)))
+        assert worst <= 2e-15
+
     @settings(max_examples=60)
     @given(mus, sigmas)
     def test_median_pin_property(self, mu, sigma):
@@ -264,12 +291,38 @@ class TestDerivativeKernel:
                 if abs(w) > 1e-300:
                     assert abs((mpmath.mpf(float(g)) - w) / w) < 1e-10
 
+    # (x, mu, sigma) where both density terms are -inf (x/mu overflows), or
+    # one term is -inf or below the other by far more than 40: x/mu = 1e-300
+    # or less, and responses of 1e308
+    SPECIAL = [
+        (1e308, 1e-10, 1.0), (1e300, 1e-300, 0.5),
+        (1e308, 1.0, 1.0), (1e308, 1.0, 20.0), (1e308, 3.0, 1e-6),
+        (1e308, 1e300, 1.0), (1e-300, 1.0, 1.0), (1e-300, 1.0, 20.0),
+        (3e-300, 3.0, 1e-6), (5e-324, 10.0, 1.0), (1e-300, 1e300, 1.0),
+    ]
+
     def test_log_density_is_logpdf_bitwise(self):
         u, v, ratio = (np.array(col) for col in zip(*(p.values for p in self.POINTS)))
         mu, sigma = np.exp(u), np.exp(v)
         x = ratio * mu
-        assert np.array_equal(median_tilted_derivatives(x, mu, sigma)[0],
-                              median_tilted_logpdf(x, mu, sigma), equal_nan=True)
-        for args in zip(x, mu, sigma):
-            assert np.array_equal(median_tilted_derivatives(*args)[0],
-                                  median_tilted_logpdf(*args), equal_nan=True)
+        sx, smu, ssigma = (np.array(col) for col in zip(*self.SPECIAL))
+        for x, mu, sigma in ((x, mu, sigma), (sx, smu, ssigma)):
+            with np.errstate(all="ignore"):
+                assert np.array_equal(median_tilted_derivatives(x, mu, sigma)[0],
+                                      median_tilted_logpdf(x, mu, sigma), equal_nan=True)
+                for args in zip(x, mu, sigma):
+                    assert np.array_equal(median_tilted_derivatives(*args)[0],
+                                          median_tilted_logpdf(*args), equal_nan=True)
+
+    def test_special_values_match_logaddexp(self):
+        # log f is -inf or finite exactly where np.logaddexp of the same
+        # terms gives it, and never nan
+        x, mu, sigma = (np.array(col) for col in zip(*self.SPECIAL))
+        with np.errstate(all="ignore"):
+            *_, b, t1, t2, _ = _log_density_terms(x, mu, sigma)
+            want = np.logaddexp(t1, t2) - b
+            got = median_tilted_logpdf(x, mu, sigma)
+        assert np.isneginf(want[:2]).all() and np.isfinite(want[2:]).all()
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert not np.isnan(got).any()

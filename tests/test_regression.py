@@ -92,6 +92,12 @@ class TestModelSpec:
             fit(ModelSpec(response=np.linspace(1, 2, 10),
                           mu_design=np.ones((10, 1)), sigma_design=W))
 
+    def test_rejects_zero_observations(self):
+        # the likelihood and its sums need at least one row
+        with pytest.raises(SpecificationError, match="no observations"):
+            ModelSpec(response=np.array([]), mu_design=np.ones((0, 1)),
+                      sigma_design=np.ones((0, 1)))
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(SpecificationError):
             ModelSpec(response=np.ones(5), mu_design=np.ones((4, 1)),
@@ -339,9 +345,13 @@ class TestRowBlocks:
         assert peaks[1] < 1.5 * peaks[0]
 
 
-def column_blocks(rows, width):
-    """Copies of the consecutive column blocks of ``width`` of a 2-D array."""
-    return [rows[:, s:s + width].copy() for s in range(0, rows.shape[1], width)]
+def column_blocks(rows, widths):
+    """Copies of the consecutive column blocks of a 2-D array, ``widths``
+    columns wide: an int for equal blocks, or one width per block."""
+    if isinstance(widths, int):
+        widths = [widths] * -(-rows.shape[1] // widths)
+    edges = np.cumsum([0, *widths])
+    return [rows[:, s:e].copy() for s, e in zip(edges[:-1], edges[1:])]
 
 
 def bits(values):
@@ -366,6 +376,34 @@ def term_rows(draw):
         half = n // 2
         rows[:, half:2 * half] = -rows[:, :half] * (1.0 + cancel)
     return rows
+
+
+@st.composite
+def ragged_rows(draw):
+    """(rows, widths): rows that each draw their own exponent range, so that
+    they leave the extraction after different numbers of passes, in blocks of
+    different widths.  One row is all zero, one spans subnormals to just
+    below _EXACT_MAX, one holds only terms below 2**-900, whose sum no
+    extraction pass may drop; each other row has zeros in a drawn share of
+    its terms."""
+    widths = draw(st.lists(st.sampled_from([1, 7, 1000, _BLOCK - 1, _BLOCK]),
+                           min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, n_rows = sum(widths), draw(st.integers(3, 6))
+    rows = np.zeros((n_rows, n))
+    for i in range(1, n_rows):
+        if i == 1:
+            lo, hi, share = -1074, 958, 0.0
+        elif i == 2:
+            lo, hi, share = -1074, draw(st.integers(-1074, -900)), 0.0
+        else:
+            lo = draw(st.integers(-1074, 958))
+            hi = draw(st.integers(lo, min(lo + 300, 958)))
+            share = draw(st.sampled_from([0.0, 0.5, 0.99]))
+        rows[i] = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+                   * np.ldexp(1.0, rng.integers(lo, hi + 1, n))
+                   * (rng.uniform(size=n) >= share))
+    return rows[rng.permutation(n_rows)], widths
 
 
 class TestExactRowSums:
@@ -393,6 +431,11 @@ class TestExactRowSums:
             rows = rows[:, :64]
         self.check(rows, width)
 
+    @settings(max_examples=40, deadline=None)
+    @given(ragged_rows())
+    def test_rows_finishing_at_different_passes(self, rows_and_widths):
+        self.check(*rows_and_widths)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=60),
@@ -401,6 +444,7 @@ class TestExactRowSums:
         self.check(np.array([values]), width)
 
     def test_all_zero_and_single_terms(self):
+        assert _exact_row_sums(iter([])) == []
         assert bits(_exact_row_sums(iter([np.zeros((2, 5))]))) == bits([0.0, 0.0])
         assert bits(_exact_row_sums(iter([np.array([[-0.0], [5e-324]])]))) == \
             bits([0.0, 5e-324])
