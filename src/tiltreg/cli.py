@@ -203,6 +203,7 @@ def cmd_fit(args) -> int:
         # non-convergence is reported through the exit code, not a warning
         warnings.simplefilter("ignore", RuntimeWarning)
         model = fit(spec)
+        residuals = quantile_residuals(model, spec) if args.plots else None
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(
@@ -215,7 +216,6 @@ def cmd_fit(args) -> int:
 
     _write_json(args.out, _model_document(model, design_schema(table, config)))
     if args.plots:
-        residuals = quantile_residuals(model, spec)
         report = build_report(residuals)
         render_svg(report, "qq", f"{args.plots}_qq.svg")
         render_svg(report, "worm", f"{args.plots}_worm.svg")
@@ -252,7 +252,12 @@ def cmd_residuals(args) -> int:
     _warn_dropped(table)
     spec = ModelSpec(table.numeric[schema["response"]],
                      *design_matrices(table, schema))
-    residuals = quantile_residuals(model, spec)
+    if not model.converged:
+        print("warning: the model did not converge; residuals are from its "
+              "last iterate", file=sys.stderr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        residuals = quantile_residuals(model, spec)
     _write_lines(args.out, "quantile_residual", map(repr, residuals.tolist()))
     print(f"wrote {len(residuals)} residual(s) to {args.out}")
     return 0

@@ -1,12 +1,13 @@
 """CSV ingestion and design-matrix construction for the CLI.
 
-Input files are UTF-8 CSV with a header row, comma delimiter and '.' decimal
-mark.  Only the columns a model references are retained.  A referenced column
-is numeric when most of its non-missing cells parse as numbers; anything else
-is categorical, with levels sorted lexicographically and the first level used
-as the dummy-coding reference.  Data read against a stored model schema takes
-the kinds and levels from it.  Rows with missing or unparseable cells in a
-referenced column are dropped, and the drop count is reported on the table.
+Input files are UTF-8 CSV, with or without a leading byte-order mark, with a
+header row, comma delimiter and '.' decimal mark.  Only the columns a model
+references are retained.  A referenced column is numeric when most of its
+non-missing cells parse as numbers; anything else is categorical, with levels
+sorted lexicographically and the first level used as the dummy-coding
+reference.  Data read against a stored model schema takes the kinds and levels
+from it.  Rows with missing or unparseable cells in a referenced column are
+dropped, and the drop count is reported on the table.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
     any other is numeric when most of its non-missing cells parse.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]

@@ -37,7 +37,8 @@ _BLOCK = 8192
 # OverflowError where the other does not.
 _EXACT_MAX = 2.0 ** 960
 _RANK_RTOL = 1e-10
-# Newton stopping rule: score max-norm, relative log-likelihood change, cap.
+# Newton stop: score max-norm, half the Newton decrement per max(1, |loglik|)
+# (Boyd & Vandenberghe, Convex Optimization, 9.5.1), iteration cap.
 _GRAD_TOL = 1e-6
 _LL_TOL = 1e-10
 _MAX_ITER = 500
@@ -354,12 +355,14 @@ def fit(spec: ModelSpec) -> FittedModel:
     log-likelihood does not fall.  After a full-length step, the next full
     step is tried with the derivative pass, and its score and Hessian are
     kept if it is taken; other trial points, which step halving may reject,
-    get the cheaper ``log_likelihood``.  The loop stops once the score's
-    max-norm is below ``_GRAD_TOL`` and the relative log-likelihood change
-    below ``_LL_TOL``.  The standard errors use the inverse of the last
-    iterate's J (InferenceError if a converged J is not positive definite).
-    When ``_MAX_ITER`` iterations run out first, or no step can be taken, the
-    model is returned with ``converged=False`` instead of raising.
+    get the cheaper ``log_likelihood``.  The loop stops at the first point
+    whose score max-norm is below ``_GRAD_TOL`` and whose half Newton
+    decrement score . step / 2, the gain a further step predicts, is below
+    ``_LL_TOL`` max(1, |loglik|) (Boyd & Vandenberghe, Convex Optimization,
+    9.5.1).  The standard errors use the inverse of the last iterate's J
+    (InferenceError if a converged J is not positive definite).  When
+    ``_MAX_ITER`` iterations run out first, or no step can be taken, the model
+    is returned with ``converged=False`` instead of raising.
     """
     if spec.n_coefs >= spec.n_obs:
         raise SpecificationError("more coefficients than observations")
@@ -372,19 +375,17 @@ def fit(spec: ModelSpec) -> FittedModel:
 
     iterations = 0
     converged = False
-    rel_change = math.inf
     full_step = False
-    gnorm = float(np.max(np.abs(g)))
     while True:
-        if gnorm < _GRAD_TOL and rel_change < _LL_TOL:
-            converged = True
-            break
-        if iterations >= _MAX_ITER:
-            break
+        gnorm = float(np.max(np.abs(g)))
         # Levenberg-Marquardt: shifts up to 1e4 max|J_ij| pass every eigenvalue.
         top = float(np.max(np.abs(H)))
         step = _cholesky_solve(-H, g, [0.0] + [top * 10.0 ** k for k in range(-8, 5)])
         if step is None or not np.all(np.isfinite(step)):
+            break
+        half_decrement = 0.5 * float(g @ step)
+        converged = gnorm < _GRAD_TOL and half_decrement < _LL_TOL * max(1.0, abs(ll))
+        if converged or iterations >= _MAX_ITER:
             break
         scale = 1.0
         fused = _loglik_score_and_hessian(spec, theta + step) if full_step else None
@@ -396,12 +397,10 @@ def fit(spec: ModelSpec) -> FittedModel:
         if scale <= 1e-8:
             break
         theta = theta + scale * step
-        rel_change = abs(ll_new - ll) / max(1.0, abs(ll_new))
         ll = ll_new
         iterations += 1
         full_step = scale == 1.0
         _, g, H = fused or _loglik_score_and_hessian(spec, theta)
-        gnorm = float(np.max(np.abs(g)))
 
     p = spec.n_coefs
     try:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,40 @@ class TestFitCommand:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_nonconvergence_prints_no_python_warning(self, tmp_path, lime_path,
+                                                     capsys, monkeypatch):
+        # fit reports it through its error line and exit code, residuals
+        # through one warning line; neither lets a Python warning through
+        monkeypatch.setattr(regression, "_MAX_ITER", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, model_path = run_fit(tmp_path, lime_path,
+                                       ("--plots", str(tmp_path / "lime")))
+            fit_err = capsys.readouterr().err
+            res_code = main(["residuals", "--model", str(model_path),
+                             "--data", str(lime_path),
+                             "--out", str(tmp_path / "res.csv")])
+            res_err = capsys.readouterr().err
+        assert code == 2
+        assert [line.split(" (")[0] for line in fit_err.splitlines()] == [
+            "error: optimizer did not converge"]
+        assert res_code == 0
+        assert res_err == ("warning: the model did not converge; residuals are "
+                           "from its last iterate\n")
+
+    def test_byte_order_mark_is_accepted(self, tmp_path, lime_path, capsys):
+        # a UTF-8 BOM before the header fits exactly like the plain file
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / f"bom{len(prefix)}"
+            folder.mkdir()
+            data = folder / "lime.csv"
+            data.write_bytes(prefix + lime_path.read_bytes())
+            code, out = run_fit(folder, data)
+            outputs.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     def test_iteration_cap_is_not_an_option(self, tmp_path, lime_path, capsys):
         out = tmp_path / "model.json"

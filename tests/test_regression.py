@@ -21,8 +21,8 @@ from tiltreg import (
 from tiltreg import regression
 from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
 from tiltreg.regression import (
-    _BLOCK, _EXACT_MAX, _exact_row_sums, _information_inverse,
-    _loglik_score_and_hessian,
+    _BLOCK, _EXACT_MAX, _GRAD_TOL, _LL_TOL, _cholesky_solve, _exact_row_sums,
+    _information_inverse, _loglik_score_and_hessian,
 )
 from tests.conftest import simulate_intercept_only
 
@@ -635,6 +635,31 @@ class TestFit:
         model = fit(lime_spec)
         assert model.converged and model.iterations == 8
         assert counts == {"log_likelihood": 11, "_loglik_score_and_hessian": 9}
+
+    @pytest.mark.parametrize("which", ["lime", "simulated"])
+    def test_stop_rule_holds_at_estimate(self, which, lime_spec, lime_fit):
+        # at the returned point: max|g| < _GRAD_TOL, and half the Newton
+        # decrement g . step, with J step = g, is below _LL_TOL max(1, |ll|)
+        if which == "lime":
+            spec, model = lime_spec, lime_fit
+        else:
+            spec = simulate_intercept_only(1000, 2.0, 0.8, seed=5)
+            model = fit(spec)
+        assert model.converged
+        ll, g, H = _loglik_score_and_hessian(spec, model.theta_hat)
+        step = _cholesky_solve(-H, g)
+        assert np.max(np.abs(g)) < _GRAD_TOL
+        assert 0.5 * float(g @ step) < _LL_TOL * max(1.0, abs(ll))
+
+    def test_stops_without_a_confirming_step(self):
+        # The loop stops at the first point that passes the decrement test,
+        # with no confirming iteration: the Newton step it declines here is
+        # below 1e-7 in every coordinate.
+        spec = simulate_intercept_only(500, 3.0, 0.5, seed=100031)
+        model = fit(spec)
+        assert model.converged and model.iterations == 4
+        _, g, H = _loglik_score_and_hessian(spec, model.theta_hat)
+        assert np.max(np.abs(_cholesky_solve(-H, g))) < 1e-7
 
     def test_lime_converges_in_few_newton_steps(self, lime_fit):
         assert lime_fit.converged
