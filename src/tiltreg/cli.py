@@ -107,6 +107,13 @@ def _format_p(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
 
+def _format_number(value: float, digits: int, width: int) -> str:
+    """``value`` with ``digits`` decimals, in e-notation when that fixed form
+    would take ``width`` characters or more."""
+    text = f"{value:.{digits}f}"
+    return text if len(text) < width else f"{value:.{digits}e}"
+
+
 def _coefficient_table(model: FittedModel) -> str:
     width = max(len(n) for n in model.coef_names) + 2
     lines = [
@@ -114,9 +121,12 @@ def _coefficient_table(model: FittedModel) -> str:
         f"{'z-stat':>10}{'p-value':>10}"
     ]
     for j, name in enumerate(model.coef_names):
+        # each cell keeps a leading space, so wide values cannot run together
+        est, se, z = (" " + _format_number(value, 3, w) for value, w in (
+            (model.theta_hat[j], 10), (model.std_errors[j], 12),
+            (model.z_stats[j], 10)))
         lines.append(
-            f"  {name:<{width}}{model.theta_hat[j]:>10.3f}"
-            f"{model.std_errors[j]:>12.3f}{model.z_stats[j]:>10.3f}"
+            f"  {name:<{width}}{est:>10}{se:>12}{z:>10}"
             f"{_format_p(model.p_values[j]):>10}"
         )
     return "\n".join(lines)
@@ -207,7 +217,7 @@ def cmd_fit(args) -> int:
 
     print(f"Median regression fit ({table.n_rows} observations)")
     print(
-        f"  log-likelihood: {model.loglik_at_optimum:.4f}"
+        f"  log-likelihood: {_format_number(model.loglik_at_optimum, 4, 13)}"
         f"    iterations: {model.iterations}"
         f"    converged: {'yes' if model.converged else 'NO'}"
     )

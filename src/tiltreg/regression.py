@@ -42,6 +42,9 @@ _RANK_RTOL = 1e-10
 _GRAD_TOL = 1e-6
 _LL_TOL = 1e-10
 _MAX_ITER = 500
+# Fits of at least this many observations start from a pilot fit of about
+# 1/16 of the rows; chosen by timing fit with and without it (CHANGES.md).
+_PILOT_MIN_OBS = 32768
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -298,7 +301,8 @@ class FittedModel:
     ``theta_hat`` stacks the median coefficients first and the shape
     coefficients after them; ``n_mu_coefs`` records the split.  The Wald
     columns ``std_errors``, ``z_stats`` and ``p_values`` are derived from
-    ``theta_hat`` and ``info_inverse``.
+    ``theta_hat`` and ``info_inverse``.  ``iterations`` counts the Newton
+    iterations on the full data only, not those of a pilot fit (``fit``).
     """
 
     theta_hat: np.ndarray
@@ -343,35 +347,34 @@ def _initial_theta(spec: ModelSpec) -> np.ndarray:
     return theta0
 
 
-def fit(spec: ModelSpec) -> FittedModel:
-    """Maximize the log-likelihood and package estimates with inference.
-
-    First checks that the coefficients are estimable: SpecificationError when
-    there are no more observations than coefficients, or when a design is
-    rank deficient, naming its dependent columns.  Then one damped Newton
-    loop from ``_initial_theta``: each iteration solves J step = score with
-    the observed information J = -H from one derivative pass, shifting J's
-    diagonal where its Cholesky fails, and halves the step until the
-    log-likelihood does not fall.  After a full-length step, the next full
-    step is tried with the derivative pass, and its score and Hessian are
-    kept if it is taken; other trial points, which step halving may reject,
-    get the cheaper ``log_likelihood``.  The loop stops at the first point
-    whose score max-norm is below ``_GRAD_TOL`` and whose half Newton
-    decrement score . step / 2, the gain a further step predicts, is below
-    ``_LL_TOL`` max(1, |loglik|) (Boyd & Vandenberghe, Convex Optimization,
-    9.5.1).  The standard errors use the inverse of the last iterate's J
-    (InferenceError if a converged J is not positive definite).  When
-    ``_MAX_ITER`` iterations run out first, or no step can be taken, the model
-    is returned with ``converged=False`` instead of raising.
-    """
+def _check_estimable(spec: ModelSpec) -> None:
     if spec.n_coefs >= spec.n_obs:
         raise SpecificationError("more coefficients than observations")
     _check_full_rank(spec.mu_design, "mu_design", spec.mu_names)
     _check_full_rank(spec.sigma_design, "sigma_design", spec.sigma_names)
-    theta = _initial_theta(spec)
+
+
+def _newton(spec: ModelSpec, theta: np.ndarray):
+    """The damped Newton loop of ``fit``, from theta.
+
+    Each iteration solves J step = score with the observed information
+    J = -H from one derivative pass, shifting J's diagonal where its Cholesky
+    fails, and halves the step until the log-likelihood does not fall.  After
+    a full-length step, the next full step is tried with the derivative pass,
+    and its score and Hessian are kept if it is taken; other trial points,
+    which step halving may reject, get the cheaper ``log_likelihood``.  The
+    loop stops at the first point whose score max-norm is below ``_GRAD_TOL``
+    and whose half Newton decrement score . step / 2, the gain a further step
+    predicts, is below ``_LL_TOL`` max(1, |loglik|) (Boyd & Vandenberghe,
+    Convex Optimization, 9.5.1), or after ``_MAX_ITER`` iterations, or when
+    no step can be taken.
+
+    Returns (theta, loglik, H, score max-norm, iterations, converged) at the
+    last iterate, or None when the log-likelihood at the start is not finite.
+    """
     ll, g, H = _loglik_score_and_hessian(spec, theta)
     if not np.isfinite(ll):
-        raise InferenceError("log-likelihood is not finite at the initial point")
+        return None
 
     iterations = 0
     converged = False
@@ -401,6 +404,71 @@ def fit(spec: ModelSpec) -> FittedModel:
         iterations += 1
         full_step = scale == 1.0
         _, g, H = fused or _loglik_score_and_hessian(spec, theta)
+    return theta, ll, H, gnorm, iterations, converged
+
+
+def _pilot_rows(spec: ModelSpec) -> np.ndarray:
+    """Mask of the rows whose 64-bit row hash has its top 4 bits zero.
+
+    The bits of y and of each row of W and Z are combined one column at a
+    time by multiplicative hashing (Knuth, TAOCP vol. 3, 6.4).  A row's pick
+    depends on its values only, so the same rows are picked in any order;
+    about one distinct row in 16 is.
+    """
+    h = np.zeros(spec.n_obs, dtype=np.uint64)
+    for column in (spec.response, *spec.mu_design.T, *spec.sigma_design.T):
+        h ^= (column + 0.0).view(np.uint64)  # + 0.0 maps -0.0 to 0.0
+        h *= np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+    return h >> np.uint64(60) == 0
+
+
+def _pilot_theta(spec: ModelSpec) -> np.ndarray | None:
+    """theta_hat of the rows ``_pilot_rows`` picks, fitted from
+    ``_initial_theta``; None when those rows leave a coefficient inestimable
+    (say, they miss a rare dummy level), or the loop cannot start or does not
+    converge.  Its warnings are dropped: it only picks a start.
+    """
+    keep = _pilot_rows(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            pilot = ModelSpec(spec.response[keep], spec.mu_design[keep],
+                              spec.sigma_design[keep])
+            _check_estimable(pilot)
+        except SpecificationError:
+            return None
+        state = _newton(pilot, _initial_theta(pilot))
+    return state[0] if state and state[-1] else None
+
+
+def fit(spec: ModelSpec) -> FittedModel:
+    """Maximize the log-likelihood and package estimates with inference.
+
+    First checks that the coefficients are estimable: SpecificationError when
+    there are no more observations than coefficients, or when a design is
+    rank deficient, naming its dependent columns.  Then runs the damped
+    Newton loop ``_newton`` from ``_initial_theta``.
+
+    With at least ``_PILOT_MIN_OBS`` observations the loop runs twice: on a
+    pilot of about n/16 rows picked by their values (``_pilot_theta``), then
+    on all rows from the pilot's estimate, a start from a subsample fit
+    (Bickel, JASA 70, 1975; Wang, Zhu & Ma, JASA 113, 2018) that takes the
+    full-data loop from 7 iterations to 3-5 at n = 1e5.  The full data start
+    from ``_initial_theta`` instead when the pilot gives no estimate or the
+    log-likelihood is not finite at it.
+
+    The standard errors use the inverse of the last iterate's J
+    (InferenceError if a converged J is not positive definite).  When
+    ``_MAX_ITER`` iterations run out first, or no step can be taken, the model
+    is returned with ``converged=False`` instead of raising.
+    """
+    _check_estimable(spec)
+    start = _pilot_theta(spec) if spec.n_obs >= _PILOT_MIN_OBS else None
+    state = _newton(spec, start) if start is not None else None
+    state = state or _newton(spec, _initial_theta(spec))
+    if state is None:
+        raise InferenceError("log-likelihood is not finite at the initial point")
+    theta, ll, H, gnorm, iterations, converged = state
 
     p = spec.n_coefs
     try:

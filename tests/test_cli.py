@@ -231,6 +231,26 @@ class TestFitCommand:
         assert res_err == ("warning: the model did not converge; residuals are "
                            "from its last iterate\n")
 
+    def test_wide_values_keep_their_columns(self, tmp_path, capsys, monkeypatch):
+        # One response of 1e300 makes the log-likelihood and the z-stats far
+        # wider than their fixed-point fields: they print in e-notation, and
+        # every cell stays a token of its own.
+        monkeypatch.setattr(regression, "_MAX_ITER", 3)
+        csv = tmp_path / "outlier.csv"
+        rows = [f"{1 + k / 100:.2f}" for k in range(49)] + ["1e300"]
+        csv.write_text("y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["fit", "--data", str(csv), "--response", "y",
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        loglik = lines[1].split()[1]
+        assert float(loglik) < -1e290 and len(loglik) <= 12
+        rows = lines[4:]
+        assert [row.split()[0] for row in rows] == ["mu.(Intercept)",
+                                                    "sigma.(Intercept)"]
+        assert all(len(row.split()) == 5 for row in rows)
+        assert abs(float(rows[0].split()[3])) > 1e100
+
     def test_byte_order_mark_is_accepted(self, tmp_path, lime_path, capsys):
         # a UTF-8 BOM before the header fits exactly like the plain file
         outputs = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from tiltreg import (
     wald_test,
 )
 from tiltreg import regression
-from tiltreg.exponential import median_tilted_derivatives, median_tilted_logpdf
+from tiltreg.exponential import (
+    _shape_constants, median_tilted_derivatives, median_tilted_logpdf,
+)
 from tiltreg.regression import (
-    _BLOCK, _EXACT_MAX, _GRAD_TOL, _LL_TOL, _cholesky_solve, _exact_row_sums,
-    _information_inverse, _loglik_score_and_hessian,
+    _BLOCK, _EXACT_MAX, _GRAD_TOL, _LL_TOL, _PILOT_MIN_OBS, _cholesky_solve,
+    _exact_row_sums, _information_inverse, _initial_theta,
+    _loglik_score_and_hessian, _newton, _pilot_rows, _pilot_theta,
 )
 from tests.conftest import simulate_intercept_only
 
@@ -671,6 +675,175 @@ class TestFit:
         model = fit(spec)
         assert model.converged
         assert model.iterations < 500
+
+
+# ---------------------------------------------------------------------------
+# the pilot start of large fits
+# ---------------------------------------------------------------------------
+
+PILOT_N = 40_000
+
+
+def simulate_regression(n, seed):
+    """3 median + 2 shape coefficients on standard normal covariates.
+
+    Responses by the max identity of ``TiltedDistribution.sample``, with
+    each row's exponential baseline of rate c/mu and shape -log(L)/c."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    W = np.column_stack([np.ones(n), x[:, 0], x[:, 1]])
+    Z = np.column_stack([np.ones(n), x[:, 2]])
+    mu = np.exp(W @ np.array([1.0, 0.3, -0.2]))
+    c, _, log_L = _shape_constants(np.exp(Z @ np.array([-0.3, 0.2])))
+    log_u = np.log(rng.uniform(size=n))
+    log_e = np.log(rng.standard_exponential(n))
+    y = -(mu / c) * np.minimum(log_u, log_e * c / -log_L)
+    return ModelSpec(response=y, mu_design=W, sigma_design=Z)
+
+
+@pytest.fixture(scope="module")
+def pilot_spec():
+    return simulate_regression(PILOT_N, seed=2718)
+
+
+@pytest.fixture(scope="module")
+def pilot_fit(pilot_spec):
+    return fit(pilot_spec)
+
+
+def fit_without_pilot(spec, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(regression, "_PILOT_MIN_OBS", spec.n_obs + 1)
+        return fit(spec)
+
+
+def assert_same_fit(a, b):
+    assert np.array_equal(a.theta_hat, b.theta_hat)
+    assert np.array_equal(a.info_inverse, b.info_inverse, equal_nan=True)
+    assert (a.loglik_at_optimum, a.iterations, a.converged) == (
+        b.loglik_at_optimum, b.iterations, b.converged)
+
+
+class TestPilot:
+    def test_theta_is_bit_identical_under_row_permutation(self, pilot_spec,
+                                                          pilot_fit):
+        assert pilot_spec.n_obs >= _PILOT_MIN_OBS
+        order = np.random.default_rng(5).permutation(pilot_spec.n_obs)
+        permuted = ModelSpec(pilot_spec.response[order],
+                             pilot_spec.mu_design[order],
+                             pilot_spec.sigma_design[order])
+        assert np.array_equal(_pilot_rows(permuted), _pilot_rows(pilot_spec)[order])
+        assert_same_fit(fit(permuted), pilot_fit)
+
+    def test_picks_about_one_row_in_sixteen(self, pilot_spec):
+        # binomial(40000, 1/16): SD 48 rows
+        assert abs(int(_pilot_rows(pilot_spec).sum()) - PILOT_N / 16) < 250
+
+    def test_negative_zero_hashes_like_zero(self):
+        y = np.arange(1.0, 101.0)
+        x = np.where(np.arange(100) % 2, 0.0, -0.0)
+        signed = ModelSpec(y, np.column_stack([np.ones(100), x]), np.ones((100, 1)))
+        zeros = ModelSpec(y, np.column_stack([np.ones(100), np.zeros(100)]),
+                          np.ones((100, 1)))
+        assert np.array_equal(_pilot_rows(signed), _pilot_rows(zeros))
+
+    def test_full_data_passes(self, pilot_spec, pilot_fit, monkeypatch):
+        # From _initial_theta this fit takes 7 iterations and 8 full-data
+        # derivative passes; from the pilot, at most 6, and every other pass
+        # is over the pilot rows.
+        sizes = []
+        original = regression._loglik_score_and_hessian
+
+        def counted(spec, theta):
+            sizes.append(spec.n_obs)
+            return original(spec, theta)
+        monkeypatch.setattr(regression, "_loglik_score_and_hessian", counted)
+        model = fit(pilot_spec)
+        assert_same_fit(model, pilot_fit)
+        full = sizes.count(PILOT_N)
+        assert full <= 6
+        assert sizes.count(_pilot_rows(pilot_spec).sum()) == len(sizes) - full > 0
+        assert model.converged and model.iterations <= 5
+
+    def test_rounded_responses_take_no_more_iterations(self, pilot_spec):
+        # 1/10 rounding leaves a few hundred distinct responses; the row hash
+        # still picks about one row in 16 through the covariates.
+        y = np.round(pilot_spec.response, 1)
+        keep = y > 0
+        spec = ModelSpec(y[keep], pilot_spec.mu_design[keep],
+                         pilot_spec.sigma_design[keep])
+        assert spec.n_obs >= _PILOT_MIN_OBS
+        model = fit(spec)
+        *_, iterations, converged = _newton(spec, _initial_theta(spec))
+        assert model.converged and converged
+        assert model.iterations <= iterations
+
+    def test_rare_level_missing_from_pilot_falls_back(self, pilot_spec, monkeypatch):
+        # A dummy with 5 rows, none of them in the pilot, leaves the pilot's
+        # median design rank deficient: the fit is the fit without a pilot.
+        n = pilot_spec.n_obs
+        W = np.column_stack([pilot_spec.mu_design, np.ones(n)])
+        as_level = ModelSpec(pilot_spec.response, W, pilot_spec.sigma_design)
+        rare = np.flatnonzero(~_pilot_rows(as_level))[:5]
+        W[:, -1] = 0.0
+        W[rare, -1] = 1.0
+        spec = ModelSpec(pilot_spec.response, W, pilot_spec.sigma_design)
+        assert not _pilot_rows(spec)[rare].any()
+        assert _pilot_theta(spec) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(spec)
+        assert model.converged
+        assert_same_fit(model, fit_without_pilot(spec, monkeypatch))
+
+    def test_pilot_start_where_loglik_is_not_finite_falls_back(self, pilot_spec,
+                                                              monkeypatch):
+        # A response near the largest double on a row outside the pilot, whose
+        # pilot median is below 1: c y / mu overflows there, so the full
+        # log-likelihood is -inf at the pilot's estimate and finite at
+        # _initial_theta, where no step can be taken.
+        start = _pilot_theta(pilot_spec)
+        outside = np.flatnonzero(~_pilot_rows(pilot_spec))
+        row = outside[np.argmin(pilot_spec.mu_design[outside] @ start[:3])]
+        y = pilot_spec.response.copy()
+        y[row] = 1.7e308
+        spec = ModelSpec(y, pilot_spec.mu_design, pilot_spec.sigma_design)
+        assert np.array_equal(_pilot_theta(spec), start)
+        assert log_likelihood(spec, start) == -math.inf
+        with pytest.warns(RuntimeWarning):
+            model = fit(spec)
+            without = fit_without_pilot(spec, monkeypatch)
+        assert model.iterations == 0
+        assert_same_fit(model, without)
+
+    @pytest.mark.parametrize("failure", ["not converged", "not finite"])
+    def test_failed_pilot_falls_back_silently(self, failure, pilot_spec,
+                                              monkeypatch):
+        original = regression._newton
+
+        def failing_pilot(spec, theta):
+            if spec.n_obs == PILOT_N:
+                return original(spec, theta)
+            warnings.warn("pilot trouble", RuntimeWarning)
+            if failure == "not finite":
+                return None
+            *state, _ = original(spec, theta)
+            return (*state, False)
+        monkeypatch.setattr(regression, "_newton", failing_pilot)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(pilot_spec)
+        monkeypatch.undo()
+        assert_same_fit(model, fit_without_pilot(pilot_spec, monkeypatch))
+
+    def test_pilot_estimate_agrees_with_the_fit(self, pilot_spec, pilot_fit,
+                                                monkeypatch):
+        no_pilot = fit_without_pilot(pilot_spec, monkeypatch)
+        assert no_pilot.iterations > pilot_fit.iterations
+        np.testing.assert_allclose(pilot_fit.theta_hat, no_pilot.theta_hat,
+                                   rtol=0, atol=1e-9)
+        assert pilot_fit.loglik_at_optimum == pytest.approx(
+            no_pilot.loglik_at_optimum, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
