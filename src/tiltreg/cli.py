@@ -193,11 +193,20 @@ def _load_model(path) -> tuple[FittedModel, dict]:
             n_obs=int(doc["n_obs"]),
             coef_names=tuple(doc["coefficients"]),
         )
-        return model, _check_schema(path, doc["schema"])
+        schema = _check_schema(path, doc["schema"])
     except KeyError as exc:
         raise SpecificationError(f"{path} has no {exc} entry") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
+    p = len(model.coef_names)
+    if model.theta_hat.shape != (p,) or not np.isfinite(model.theta_hat).all():
+        raise SpecificationError(
+            f"{path}: estimates are not {p} finite numbers, one per coefficient")
+    if not 1 <= model.n_mu_coefs < p:
+        raise SpecificationError(f"{path}: n_mu_coefs is not in [1, {p})")
+    if model.info_inverse.shape != (p, p):  # nan entries allowed: unconverged fits
+        raise SpecificationError(f"{path}: info_inverse is not {p} x {p}")
+    return model, schema
 
 
 def cmd_fit(args) -> int:

@@ -93,6 +93,12 @@ def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
         raise SpecificationError(
             f"{path}: referenced column(s) not found: {', '.join(missing_cols)}"
         )
+    repeated = [c for c in columns if header.count(c) > 1]
+    if repeated:
+        raise SpecificationError(
+            f"{path}: referenced column(s) named more than once in the header: "
+            f"{', '.join(repeated)}"
+        )
     for row in rows:
         if len(row) != len(header):
             raise SpecificationError(

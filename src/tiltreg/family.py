@@ -258,14 +258,18 @@ class TiltedDistribution:
         """Interior mode, or None when no interior critical point exists.
 
         Evaluates d/dx log f (central differences) at the 257 points of an
-        even grid on [quantile(0.001), quantile(0.999)] in two array
-        ``log_pdf`` calls, then polishes each subinterval where the slope
-        passes from positive to negative (a local maximum) with Brent's
-        method on the same slope function.  With several qualifying roots the
-        one with the largest density wins.
+        even grid on [lo, hi] in two array ``log_pdf`` calls, then polishes
+        each subinterval where the slope passes from positive to negative (a
+        local maximum) with Brent's method on the same slope function.  With
+        several qualifying roots the one with the largest density wins.  The
+        window covers [F^-1(0.001), F^-1(0.999)] by the max identity F = G H,
+        H = exp(-Gbar^beta), from baseline quantiles: lo = G^-1(0.001) as
+        F <= G, and hi = max(G^-1(q), H^-1(q)) with F(hi) >= q^2, q = sqrt(0.999).
         """
-        lo = float(self.quantile(0.001))
-        hi = float(self.quantile(0.999))
+        q = math.sqrt(0.999)  # H^-1(q) has log Gbar = log(-log q) / beta
+        lo = float(self.baseline.quantile(0.001))
+        hi = max(float(self.baseline.quantile(q)), float(
+            self.baseline.quantile_from_log_sf(math.log(-math.log(q)) / self.beta)))
 
         def slope(x):
             h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * x)

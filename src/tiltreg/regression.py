@@ -53,6 +53,8 @@ def _as_matrix(a, name: str) -> np.ndarray:
         a = a[:, None]
     if a.ndim != 2:
         raise SpecificationError(f"{name} must be a 2-D design matrix")
+    if not np.isfinite(a).all():
+        raise SpecificationError(f"{name} has non-finite entries")
     return a
 
 
@@ -79,9 +81,10 @@ def _check_full_rank(m: np.ndarray, label: str, names: tuple[str, ...]):
 class ModelSpec:
     """Response vector plus the two design matrices and coefficient names.
 
-    Checks the data only: shapes, at least one row, row counts, strictly
-    positive finite responses and one name per column.  ``fit`` checks that
-    the coefficients are estimable, so residuals can be taken on any rows.
+    Checks the data only: shapes, finite design entries, at least one row,
+    row counts, strictly positive finite responses and one name per column.
+    ``fit`` checks that the coefficients are estimable, so residuals can be
+    taken on any rows.
     """
 
     response: np.ndarray

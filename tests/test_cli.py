@@ -307,6 +307,22 @@ class TestFitCommand:
         assert code == 1
         capsys.readouterr()
 
+    def test_repeated_header_name_is_refused_where_referenced(
+            self, tmp_path, lime_path, capsys):
+        # DBH renamed to Age: two columns are named Age
+        lines = lime_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "Foliage,DBH,Age,Origin"
+        data = tmp_path / "twice.csv"
+        data.write_text("\n".join(["Foliage,Age,Age,Origin", *lines[1:]]) + "\n",
+                        encoding="utf-8")
+        for mu, code in (("Age", 1), ("Origin", 0)):
+            out = tmp_path / f"{mu}.json"
+            assert main(["fit", "--data", str(data), "--response", "Foliage",
+                         "--mu", mu, "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            assert out.exists() == (code == 0)
+            assert ("named more than once in the header: Age" in err) == (code == 1)
+
     def test_unwritable_output_exit_code(self, tmp_path, lime_path, capsys):
         code = main([
             "fit", "--data", str(lime_path), "--response", "Foliage",
@@ -397,6 +413,45 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(model) in err and message in err
+
+    @pytest.mark.parametrize("command", ["predict", "residuals"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("estimates", [None] * 5, "estimates are not 5 finite numbers"),
+        ("estimates", [0.1, 0.2, float("nan"), 0.3, 0.4],
+         "estimates are not 5 finite numbers"),
+        ("estimates", [0.1, 0.2, 0.3, 0.4], "estimates are not 5 finite numbers"),
+        ("n_mu_coefs", 9, "n_mu_coefs is not in [1, 5)"),
+        ("n_mu_coefs", 0, "n_mu_coefs is not in [1, 5)"),
+        ("info_inverse", [[1.0]], "info_inverse is not 5 x 5"),
+        ("estimates", "abc", "has an entry of the wrong type"),
+        ("info_inverse", [[1.0, 2.0], [3.0]], "has an entry of the wrong type"),
+    ], ids=["null-estimates", "nan-estimate", "short-estimates", "n-mu-9",
+            "n-mu-0", "info-1x1", "text-estimates", "ragged-info"])
+    def test_inconsistent_model_arrays(self, model_path, tmp_path, lime_path,
+                                       capsys, command, key, value, message):
+        doc = json.loads(model_path.read_text())
+        doc[key] = value
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = main([command, "--model", str(model),
+                     "--data", str(lime_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(model) in err and message in err
+        assert not out.exists()
+
+    def test_nan_information_of_an_unconverged_fit_is_accepted(
+            self, model_path, tmp_path, lime_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["info_inverse"] = [[float("nan")] * 5] * 5
+        model = tmp_path / "nan_info.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model),
+                     "--data", str(lime_path), "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
 
     def test_unknown_level_named(self, model_path, tmp_path, capsys):
         csv = tmp_path / "new.csv"

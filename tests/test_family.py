@@ -466,12 +466,21 @@ class TestSampling:
 # ---------------------------------------------------------------------------
 
 def scalar_scan_mode(d):
-    """The mode scan with one scalar log_pdf call per grid point and side."""
+    """The mode scan with one scalar log_pdf call per grid point and side.
+
+    Its window comes from the max identity F = G H, H = exp(-Gbar^beta), and
+    is checked to cover [F^-1(0.001), F^-1(0.999)].
+    """
     def slope(x):
         h = min(1e-6 * max(1.0, abs(x)), 0.5 * x)
         return float((d.log_pdf(x + h) - d.log_pdf(x - h)) / (2 * h))
 
-    xs = np.linspace(float(d.quantile(0.001)), float(d.quantile(0.999)), 257)
+    q = math.sqrt(0.999)
+    lo = float(d.baseline.quantile(0.001))
+    hi = max(float(d.baseline.quantile(q)), float(
+        d.baseline.quantile_from_log_sf(math.log(-math.log(q)) / d.beta)))
+    assert d.cdf(lo) <= 0.001 and d.cdf(hi) >= 0.999
+    xs = np.linspace(lo, hi, 257)
     ss = [slope(float(x)) for x in xs]
     roots = [float(brentq(slope, xs[i], xs[i + 1], xtol=1e-12))
              for i in range(256) if ss[i] > 0.0 and ss[i + 1] < 0.0]
@@ -503,6 +512,16 @@ class TestMode:
     def test_array_scan_equals_scalar_scan_bitwise(self, beta, lam):
         d = tilted(lam, beta)
         assert d.mode() == scalar_scan_mode(d)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 8.0])
+    def test_runs_no_auxiliary_quantile_solve(self, monkeypatch, beta):
+        expected = tilted(1.0, beta).mode()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("mode ran the auxiliary-quantile solve")
+
+        monkeypatch.setattr(family, "_aux_log_sf_solve", no_solve)
+        assert tilted(1.0, beta).mode() == expected
 
     def test_unimodal_for_beta_at_least_two(self):
         for beta in (2.0, 3.0, 5.0):

@@ -118,6 +118,23 @@ class TestModelSpec:
         assert spec.coef_names == ("mu.(Intercept)", "sigma.(Intercept)")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("design", ["mu", "sigma"])
+@pytest.mark.parametrize("route", ["ModelSpec", "predict"])
+def test_non_finite_design_entry_is_rejected(route, design, bad, lime_fit):
+    # the lime model's shapes: 4 median columns and 1 shape column
+    W, Z = np.ones((5, 4)), np.ones((5, 1))
+    (W if design == "mu" else Z)[2, -1] = bad
+    if route == "ModelSpec":
+        with pytest.raises(SpecificationError,
+                           match=f"^{design}_design has non-finite entries$"):
+            ModelSpec(response=np.arange(1.0, 6.0), mu_design=W, sigma_design=Z)
+    else:
+        with pytest.raises(SpecificationError,
+                           match=f"^new_{design}_design has non-finite entries$"):
+            predict(lime_fit, W, Z)
+
+
 # ---------------------------------------------------------------------------
 # log-likelihood
 # ---------------------------------------------------------------------------
