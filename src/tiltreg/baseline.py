@@ -17,7 +17,7 @@ import numpy as np
 
 def _require_positive(x, name: str):
     x = np.asarray(x, dtype=float)
-    if np.any(~(x > 0)):
+    if not (x > 0).all():
         raise ValueError(f"{name} must be strictly positive")
     return x
 
@@ -29,7 +29,7 @@ def _require_positive_finite(value, name: str):
 
 def _require_probability(p, name: str = "p"):
     p = np.asarray(p, dtype=float)
-    if np.any(~((p > 0) & (p < 1))):
+    if not ((p > 0) & (p < 1)).all():
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return p
 

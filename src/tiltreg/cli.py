@@ -198,7 +198,11 @@ def _load_model(path) -> tuple[FittedModel, dict]:
         raise SpecificationError(f"{path} has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
-    p = len(model.coef_names)
+    names = doc["coefficients"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise SpecificationError(f"{path}: coefficients are not distinct names")
+    p = len(names)
     if model.theta_hat.shape != (p,) or not np.isfinite(model.theta_hat).all():
         raise SpecificationError(
             f"{path}: estimates are not {p} finite numbers, one per coefficient")

@@ -41,7 +41,7 @@ from .baseline import (
 )
 from .errors import NumericalError
 
-# Newton controls for the auxiliary quantile solve.
+# Halley controls for the auxiliary quantile solve.
 _ROOT_MAX_ITER = 200
 _SOLVE_BLOCK = 16384
 _LOG2 = float(np.log(2.0))
@@ -70,36 +70,21 @@ _DE_GAP = 1e-8
 _MODE_GRID = 256
 
 
-def _log1mexp(x):
-    # log(1 - e^-x) for x > 0; each branch is accurate on its own side of log 2
-    with np.errstate(divide="ignore"):
-        return np.where(x > _LOG2, np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
-
-
-def _aux_residual(s, beta, log_p, p):
-    # g(s) = log(y) - e^(-beta s) - log p at y = 1 - e^-s, and 1/g'(s) with
-    # g' = 1/expm1(s) + beta*e^(-beta s), finite for every s > 0.  Where
-    # log p < -40, log(y) - log p would lose eps*|log p| to cancellation, so
-    # g is taken as log(y/p) - e^(-beta s) there; p is None when no element
-    # is that deep.
-    e, y, w = np.exp(-s), -np.expm1(-s), np.exp(-beta * s)
-    g = _log1mexp(s) - w - log_p
-    if p is not None:
-        deep = log_p < _DEEP_LOG_P
-        g[deep] = np.log(y[deep] / p[deep]) - w[deep]
-    return g, y / (e + beta * w * y)
-
-
 def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
     """s = -log(1-q) for the auxiliary quantile q, elementwise.
 
-    Newton on the increasing, concave g(s) = log(1-e^-s) - e^(-beta s) - log p
-    (in ratio form where log p < -40, see ``_aux_residual``) from
-    -log(t)/beta, t = -log p, inside the bracket s_lo = -log1p(-p),
-    s_hi = max(s_lo, -log(1-e^(-t/2)), -log(t/2)/beta), narrowed by the sign
-    of g; an iterate not strictly inside it is replaced by the midpoint.  An
-    element stops once its step or bracket is within 4 ulp of s; only
-    unconverged elements iterate on.  Blocks keep temporaries in cache.
+    Halley steps on the increasing, concave g(s) = log(y) - w - log p, with
+    y = 1 - e^-s, w = e^(-beta s), g' = e^-s/y + beta w and
+    g'' = -e^-s/y^2 - beta^2 w, from -log(t)/beta, t = -log p, inside the
+    bracket s_lo = -log1p(-p), s_hi = max(s_lo, -log(1-e^(-t/2)), -log(t/2)/beta),
+    narrowed by the sign of g; an iterate not strictly inside it is replaced
+    by the midpoint.  log(y) is log1p(-e^-s) above s = log 2, from the round's
+    e^-s, and where log p < -40 g takes the ratio form log(y/p) - w, as
+    log(y) - log p would lose eps*|log p|.  The Halley factor is formed
+    without 1/y^2, so it stays finite as s -> 0.  An element stops once its
+    Newton step g/g' or its bracket is within 4 ulp of s (a large Halley
+    factor can shrink the step short of the root); only unconverged elements
+    iterate on.  Blocks keep temporaries in cache.
     """
     p = np.asarray(p, dtype=float)
     if p.size > _SOLVE_BLOCK:
@@ -108,31 +93,45 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
         return np.concatenate(s).reshape(p.shape)
     shape = p.shape
     p = p.ravel()
-    log_p = np.log(p)
-    a = -np.log1p(-p)
-    b = np.maximum(a, np.maximum(-_log1mexp(-0.5 * log_p),
-                                 -np.log(-0.5 * log_p) / beta))
-    s = np.clip(-np.log(-log_p) / beta, a, b)
-    p = p if (log_p < _DEEP_LOG_P).any() else None
-    out = np.empty_like(a)
-    todo = np.arange(a.size)
-    for _ in range(_ROOT_MAX_ITER):
-        if todo.size == 0:
-            return out.reshape(shape)
-        g, inv_slope = _aux_residual(s, beta, log_p, p)
-        step = g * inv_slope
-        below = g < 0
-        np.copyto(a, s, where=below)
-        np.copyto(b, s, where=~below)
-        tol = 4.0 * np.finfo(float).eps * s
-        done = (np.abs(step) <= tol) | (b - a <= tol)
-        s -= step
-        if done.any():
-            out[todo[done]] = np.clip(s[done], a[done], b[done])
-            keep = np.flatnonzero(~done)
-            todo, s, a, b, log_p = (v.take(keep) for v in (todo, s, a, b, log_p))
-            p = None if p is None else p.take(keep)
-        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf in branches not taken
+        log_p = np.log(p)
+        a = -np.log1p(-p)
+        x = -0.5 * log_p  # log(1 - e^-x) as in g: log1p above x = log 2, log below
+        b = np.maximum(a, np.maximum(
+            -np.where(x > _LOG2, np.log1p(-np.exp(-x)), np.log(-np.expm1(-x))),
+            -np.log(x) / beta))
+        s = np.minimum(np.maximum(-np.log(-log_p) / beta, a), b)
+        # g = log(y/q) - w - c: q = p and c = 0 in ratio form, else q = 1, c = log p
+        deep = log_p < _DEEP_LOG_P
+        q, c = (None, log_p) if not deep.any() else (
+            np.where(deep, p, 1.0), np.where(deep, 0.0, log_p))
+        out = np.empty_like(a)
+        todo = np.arange(a.size)
+        for _ in range(_ROOT_MAX_ITER):
+            neg_s = -s
+            e, y, w = np.exp(neg_s), -np.expm1(neg_s), np.exp(beta * neg_s)
+            log_y = np.log(y if q is None else y / q)
+            g = np.where(s > _LOG2, np.log1p(-e), log_y) - w - c
+            # Halley: 1 - g g''/(2 g'^2) = 1 + (g/d)(e + beta^2 w y^2)/(2d), d = y g'
+            wy = w * y
+            d = e + beta * wy
+            r = g / d
+            newton = r * y
+            below = g < 0
+            np.copyto(a, s, where=below)
+            np.copyto(b, s, where=~below)
+            done = np.fmin(np.abs(newton), b - a) <= 2.0**-50 * s  # 4 ulp
+            s -= newton / (1.0 + 0.5 * (r / d) * (e + beta * beta * wy * y))
+            finished = np.count_nonzero(done)
+            if finished == done.size:  # also for an empty block
+                out[todo] = np.minimum(np.maximum(s, a), b)
+                return out.reshape(shape)
+            if finished:
+                out[todo[done]] = np.minimum(np.maximum(s[done], a[done]), b[done])
+                keep = np.flatnonzero(~done)
+                todo, s, a, b, c = (v.take(keep) for v in (todo, s, a, b, c))
+                q = None if q is None else q.take(keep)
+            np.copyto(s, 0.5 * (a + b), where=~((s > a) & (s < b)))
     raise NumericalError(f"auxiliary quantile solve did not converge within "
                          f"{_ROOT_MAX_ITER} iterations ({todo.size} elements left)")
 
@@ -258,7 +257,7 @@ class TiltedDistribution:
         """Interior mode, or None when no interior critical point exists.
 
         Evaluates d/dx log f (central differences) at the 257 points of an
-        even grid on [lo, hi] in two array ``log_pdf`` calls, then polishes
+        even grid on [lo, hi] in one array ``log_pdf`` call, then polishes
         each subinterval where the slope passes from positive to negative (a
         local maximum) with Brent's method on the same slope function.  With
         several qualifying roots the one with the largest density wins.  The
@@ -273,7 +272,8 @@ class TiltedDistribution:
 
         def slope(x):
             h = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * x)
-            return (self.log_pdf(x + h) - self.log_pdf(x - h)) / (2 * h)
+            up, down = self.log_pdf(np.stack([x + h, x - h]))
+            return (up - down) / (2 * h)
 
         xs = np.linspace(lo, hi, _MODE_GRID + 1)
         ss = slope(xs)

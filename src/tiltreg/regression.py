@@ -357,15 +357,16 @@ def _check_estimable(spec: ModelSpec) -> None:
     _check_full_rank(spec.sigma_design, "sigma_design", spec.sigma_names)
 
 
-def _newton(spec: ModelSpec, theta: np.ndarray):
+def _newton(spec: ModelSpec, theta: np.ndarray, warm: bool = False):
     """The damped Newton loop of ``fit``, from theta.
 
     Each iteration solves J step = score with the observed information
     J = -H from one derivative pass, shifting J's diagonal where its Cholesky
     fails, and halves the step until the log-likelihood does not fall.  After
-    a full-length step, the next full step is tried with the derivative pass,
-    and its score and Hessian are kept if it is taken; other trial points,
-    which step halving may reject, get the cheaper ``log_likelihood``.  The
+    a full-length step, and for the first step from a ``warm`` start near the
+    optimum, the next full step is tried with the derivative pass, and its
+    score and Hessian are kept if it is taken; other trial points, which
+    step halving may reject, get the cheaper ``log_likelihood``.  The
     loop stops at the first point whose score max-norm is below ``_GRAD_TOL``
     and whose half Newton decrement score . step / 2, the gain a further step
     predicts, is below ``_LL_TOL`` max(1, |loglik|) (Boyd & Vandenberghe,
@@ -381,7 +382,7 @@ def _newton(spec: ModelSpec, theta: np.ndarray):
 
     iterations = 0
     converged = False
-    full_step = False
+    full_step = warm
     while True:
         gnorm = float(np.max(np.abs(g)))
         # Levenberg-Marquardt: shifts up to 1e4 max|J_ij| pass every eigenvalue.
@@ -467,7 +468,7 @@ def fit(spec: ModelSpec) -> FittedModel:
     """
     _check_estimable(spec)
     start = _pilot_theta(spec) if spec.n_obs >= _PILOT_MIN_OBS else None
-    state = _newton(spec, start) if start is not None else None
+    state = _newton(spec, start, warm=True) if start is not None else None
     state = state or _newton(spec, _initial_theta(spec))
     if state is None:
         raise InferenceError("log-likelihood is not finite at the initial point")

@@ -425,8 +425,15 @@ class TestPredictCommand:
         ("info_inverse", [[1.0]], "info_inverse is not 5 x 5"),
         ("estimates", "abc", "has an entry of the wrong type"),
         ("info_inverse", [[1.0, 2.0], [3.0]], "has an entry of the wrong type"),
+        ("coefficients", [1, 2, 3, 4, 5], "coefficients are not distinct names"),
+        ("coefficients", ["a", "a", "b", "c", "d"],
+         "coefficients are not distinct names"),
+        ("coefficients", "abcde", "coefficients are not distinct names"),
+        ("coefficients", ["a", "b", "c", "d", None],
+         "coefficients are not distinct names"),
     ], ids=["null-estimates", "nan-estimate", "short-estimates", "n-mu-9",
-            "n-mu-0", "info-1x1", "text-estimates", "ragged-info"])
+            "n-mu-0", "info-1x1", "text-estimates", "ragged-info", "number-names",
+            "repeated-names", "one-string-names", "null-name"])
     def test_inconsistent_model_arrays(self, model_path, tmp_path, lime_path,
                                        capsys, command, key, value, message):
         doc = json.loads(model_path.read_text())

@@ -16,6 +16,9 @@ from tiltreg import (
 from tiltreg import family
 from tiltreg.baseline import _require_probability
 
+# a numpy warning leaking out of the family layer is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 betas = st.floats(min_value=0.2, max_value=8.0)
 rates = st.floats(min_value=0.05, max_value=20.0)
 probs = st.floats(min_value=1e-4, max_value=1.0 - 1e-4)
@@ -345,6 +348,13 @@ class TestAuxiliarySolve:
         exact = aux_log_sf_oracle(beta, p)
         assert abs(s - exact) <= 4 * math.ulp(exact), (s - exact) / math.ulp(exact)
 
+    def test_five_rounds_suffice(self, monkeypatch):
+        # Halley steps: at most 5 rounds on the grid of the dist-scalar bench
+        monkeypatch.setattr(family, "_ROOT_MAX_ITER", 5)
+        for beta in (0.3, 1.0, 2.0, 8.0):
+            for p in (0.1, 0.5, 0.9):
+                assert 0.0 < tilted(1.0, beta).quantile(p) < math.inf
+
     def test_exhausted_budget_raises(self, monkeypatch):
         monkeypatch.setattr(family, "_ROOT_MAX_ITER", 1)
         with pytest.raises(NumericalError, match="did not converge"):
@@ -522,6 +532,21 @@ class TestMode:
 
         monkeypatch.setattr(family, "_aux_log_sf_solve", no_solve)
         assert tilted(1.0, beta).mode() == expected
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 8.0])
+    def test_slope_costs_one_log_pdf_call(self, monkeypatch, beta):
+        # one call for the scan, one per Brent step and one for the pick
+        d = tilted(1.0, beta)
+        calls = []
+        log_pdf = TiltedDistribution.log_pdf
+
+        def counted(self, x):
+            calls.append(x)
+            return log_pdf(self, x)
+
+        monkeypatch.setattr(TiltedDistribution, "log_pdf", counted)
+        assert d.mode() is not None
+        assert len(calls) <= 11
 
     def test_unimodal_for_beta_at_least_two(self):
         for beta in (2.0, 3.0, 5.0):

@@ -782,6 +782,26 @@ class TestPilot:
         assert sizes.count(_pilot_rows(pilot_spec).sum()) == len(sizes) - full > 0
         assert model.converged and model.iterations <= 5
 
+    def test_first_step_from_the_pilot_is_a_fused_trial(self, pilot_spec,
+                                                        pilot_fit, monkeypatch):
+        # The first full step from the pilot's estimate is tried with the
+        # derivative pass, which its iteration needs anyway: no full-data
+        # log_likelihood call (1 when it is tried with log_likelihood).
+        sizes = {"log_likelihood": [], "_loglik_score_and_hessian": []}
+        for name, seen in sizes.items():
+            def counted(spec, theta, original=getattr(regression, name), seen=seen):
+                seen.append(spec.n_obs)
+                return original(spec, theta)
+            monkeypatch.setattr(regression, name, counted)
+        assert_same_fit(fit(pilot_spec), pilot_fit)
+        assert sizes["log_likelihood"].count(PILOT_N) == 0
+        assert sizes["_loglik_score_and_hessian"].count(PILOT_N) == 5
+        monkeypatch.undo()
+        newton = regression._newton
+        monkeypatch.setattr(regression, "_newton",
+                            lambda spec, theta, warm=False: newton(spec, theta))
+        assert_same_fit(fit(pilot_spec), pilot_fit)
+
     def test_rounded_responses_take_no_more_iterations(self, pilot_spec):
         # 1/10 rounding leaves a few hundred distinct responses; the row hash
         # still picks about one row in 16 through the covariates.
