@@ -82,9 +82,10 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
     e^-s, and where log p < -40 g takes the ratio form log(y/p) - w, as
     log(y) - log p would lose eps*|log p|.  The Halley factor is formed
     without 1/y^2, so it stays finite as s -> 0.  An element stops once its
-    Newton step g/g' or its bracket is within 4 ulp of s (a large Halley
-    factor can shrink the step short of the root); only unconverged elements
-    iterate on.  Blocks keep temporaries in cache.
+    Newton step g/g' or its bracket is within 4 ulp of s, or within one
+    subnormal spacing where 4 ulp rounds to 0 (a large Halley factor can
+    shrink the step short of the root); only unconverged elements iterate
+    on.  Blocks keep temporaries in cache.
     """
     p = np.asarray(p, dtype=float)
     if p.size > _SOLVE_BLOCK:
@@ -120,7 +121,8 @@ def _aux_log_sf_solve(beta: float, p: np.ndarray) -> np.ndarray:
             below = g < 0
             np.copyto(a, s, where=below)
             np.copyto(b, s, where=~below)
-            done = np.fmin(np.abs(newton), b - a) <= 2.0**-50 * s  # 4 ulp
+            # 4 ulp, or one subnormal spacing where 2**-50 s rounds to 0
+            done = np.fmin(np.abs(newton), b - a) <= np.maximum(2.0**-50 * s, 5e-324)
             s -= newton / (1.0 + 0.5 * (r / d) * (e + beta * beta * wy * y))
             finished = np.count_nonzero(done)
             if finished == done.size:  # also for an empty block
@@ -213,14 +215,31 @@ class TiltedDistribution:
         return _scalar_like(np.exp(self.log_pdf(x)), x)
 
     def hazard(self, t):
-        """f(t) / S(t) = exp(log f - log S).  Raises where log S is -inf."""
+        """f(t) / S(t).  Raises where log S is -inf.
+
+        exp(log f - log S), except in the far tail of ``log_sf``: there
+        S = Gbar (1 + a) and f = g (1 + beta a) with a = Gbar^(beta-1), so
+        h = (g/Gbar) (1 + beta a)/(1 + a), with g/Gbar = exp(log g - log Gbar):
+        one difference of two large logs where exp(log f - log S) takes the
+        difference of two sums of them.
+        """
         log_s = np.asarray(self.log_sf(t), dtype=float)
         if np.any(np.isneginf(log_s)):
             raise NumericalError(
                 "log survival is -inf at the requested point; the hazard "
                 "is undefined there"
             )
-        return _scalar_like(np.exp(np.asarray(self.log_pdf(t)) - log_s), t)
+        h = np.exp(np.asarray(self.log_pdf(t)) - log_s)
+        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
+        far = np.maximum(log_gbar, self.beta * log_gbar) < _FAR_TAIL
+        if far.any():
+            # (1 + beta a)/(1 + a) with r = min(a, 1/a), so a^+-1 never overflows
+            log_a = (self.beta - 1.0) * log_gbar
+            r = np.exp(-np.abs(log_a))
+            ratio = np.where(log_a > 0, self.beta + r, 1.0 + self.beta * r) / (1.0 + r)
+            g_over_gbar = np.exp(np.asarray(self.baseline.log_pdf(t)) - log_gbar)
+            h = np.where(far, g_over_gbar * ratio, h)
+        return _scalar_like(h, t)
 
     # -- quantiles and sampling ----------------------------------------
 

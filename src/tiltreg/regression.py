@@ -14,6 +14,7 @@ Hessian at the optimum) and hypothesis tests are Wald z-tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,14 +29,9 @@ from .exponential import median_tilted_derivatives, median_tilted_logpdf
 # Rows per kernel block: 8192 float64 temporaries are 64 KB each, below
 # glibc's 128 KB mmap threshold, so they are reused from the heap and stay in
 # cache instead of being mapped and faulted in afresh on every call.  A block's
-# terms are reduced to exact partial sums before the next block is formed, so
-# no n-sized array of terms exists.
+# terms are summed before the next block is formed, so no n-sized array of
+# terms exists.
 _BLOCK = 8192
-# Terms at or above this magnitude are left to math.fsum.  Below it, and for
-# fewer than 2**50 terms, the extraction's sigma stays finite and no running
-# sum can overflow, in fsum or in the extraction, so neither raises
-# OverflowError where the other does not.
-_EXACT_MAX = 2.0 ** 960
 _RANK_RTOL = 1e-10
 # Newton stop: score max-norm, half the Newton decrement per max(1, |loglik|)
 # (Boyd & Vandenberghe, Convex Optimization, 9.5.1), iteration cap.
@@ -84,7 +80,9 @@ class ModelSpec:
     Checks the data only: shapes, finite design entries, at least one row,
     row counts, strictly positive finite responses and one name per column.
     ``fit`` checks that the coefficients are estimable, so residuals can be
-    taken on any rows.
+    taken on any rows.  The likelihood sums over a sorted copy of the rows
+    (``_canonical``), built on first use and kept, so the arrays must not be
+    modified after a spec is used.
     """
 
     response: np.ndarray
@@ -137,95 +135,82 @@ class ModelSpec:
         p1 = self.n_mu_coefs
         return theta[:p1], theta[p1:]
 
+    @functools.cached_property
+    def _canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(y, W, Z, pilot size): the rows sorted by ``_row_hash``, -0.0 as 0.0.
 
-def _exact_row_sums(blocks) -> list[float] | None:
-    """Correctly rounded sum of each row over an iterable of (rows, m) blocks.
+        Rows of equal hash that differ are put in the order of their bits, so
+        the sorted copy depends on the set of rows only, not on their order.
+        The rows whose hash has its top 4 bits zero, about one distinct row in
+        16, lead it; their count is the pilot size.  Built on first use and
+        kept: the arrays must not be modified after that.
+        """
+        h = _row_hash(self)
+        order = np.argsort(h)
+        h = h[order]
+        tied = np.flatnonzero(h[1:] == h[:-1])
+        if tied.size:  # rare: sort only the rows that share a hash by their bits
+            at = np.union1d(tied, tied + 1)
+            rows = order[at]
+            keys = [(c[rows] + 0.0).view(np.uint64)
+                    for c in (self.response, *self.mu_design.T, *self.sigma_design.T)]
+            order[at] = rows[np.lexsort([*reversed(keys), h[at]])]
+        y, W, Z = (a.take(order, axis=0) for a in
+                   (self.response, self.mu_design, self.sigma_design))
+        for a in (y, W, Z):
+            a += 0.0  # maps -0.0 to 0.0
+        return y, W, Z, int(np.searchsorted(h, np.uint64(1 << 60)))
 
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008): for a row p of m
-    terms and sigma = 2**(k + e), with max|p_i| < 2**e and 2**k >= m + 2,
-    q = (sigma + p) - sigma and p - q are exact, and so is sum(q) in any
-    order.  Each pass keeps sum(q) per row and leaves p - q, whose terms are
-    at most 2**(k - 53) times the previous maximum, until every row is zero.
-    A row leaves the extraction once it is all zero, so later passes touch
-    only the rows that still hold terms.  One math.fsum of a row's few
-    partial sums is then the correctly rounded sum of its terms: equal to
-    math.fsum over the row bit for bit, and independent of the order of the
-    terms and of the blocking.
 
-    The blocks are overwritten.  None, found before a block is modified, when
-    a block holds a non-finite term or one of magnitude at least _EXACT_MAX:
-    ``_row_sums`` then sums whole rows with math.fsum, as a per-block fsum
-    would not (nan and inf in one block and -inf in another give nan, where
-    fsum over the row raises ValueError).
+def _row_hash(spec: ModelSpec) -> np.ndarray:
+    """64-bit hash of each row from its values: y, then W's, then Z's columns.
+
+    Each column's bits, with -0.0 as 0.0, are mixed in by multiplicative
+    hashing (Knuth, TAOCP vol. 3, 6.4); an xor-shift before each multiply
+    brings high bits, sign bits among them, down to the bits a later multiply
+    carries up, so rows such as (y, 1, x) and (y, 1, -x) hash independently.
     """
-    partials = []  # partials[i]: row i's exact partial sums
-    for block in blocks:
-        top = np.maximum(block.max(axis=1), -block.min(axis=1))
-        if not np.all(top < _EXACT_MAX):  # nan fails too
-            return None
-        partials = partials or [[] for _ in block]
-        k = (block.shape[1] + 1).bit_length()  # ceil(log2(m + 2))
-        live = np.arange(len(block))
-        q = np.empty_like(block)
-        while live.size:
-            if not top.all():  # drop the rows that are all zero
-                keep = top > 0
-                live, block, top = live[keep], block[keep], top[keep]
-                q = q[:live.size]
-                continue
-            sigma = np.ldexp(1.0, np.frexp(top)[1] + k)[:, None]
-            np.add(sigma, block, out=q)
-            q -= sigma
-            block -= q
-            for i, s in zip(live.tolist(), q.sum(axis=1).tolist()):
-                partials[i].append(s)
-            top = np.maximum(block.max(axis=1), -block.min(axis=1))
-        del block, q  # free both before the next block is formed
-    return [math.fsum(row) for row in partials]
+    h = np.zeros(spec.n_obs, dtype=np.uint64)
+    for column in (spec.response, *spec.mu_design.T, *spec.sigma_design.T):
+        h ^= (column + 0.0).view(np.uint64)
+        h ^= h >> np.uint64(29)
+        h *= np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+    return h
 
 
-def _row_sums(spec: ModelSpec, theta, terms) -> list[float]:
-    """Correctly rounded sum over all observations of each row of the terms.
+def _row_sums(spec: ModelSpec, theta, terms) -> np.ndarray:
+    """Sum over all observations of each row of the terms, in canonical order.
 
-    ``terms(rows, y, mu, sigma)`` forms the (m, rows) terms of one slice of
-    ``_BLOCK`` rows, with mu and sigma linked for those rows only, so the
-    kernels' temporaries stay cache-resident.  ``_exact_row_sums`` reduces
-    the blocks; where it refuses a term, each whole row is summed again by
-    math.fsum: nan where fsum raises, for inf and -inf terms or an overflow.
+    ``terms(y, W, Z, mu, sigma)`` forms the (m, rows) terms of one slice of
+    ``_BLOCK`` rows of ``spec._canonical``, with mu and sigma linked for those
+    rows only, so the kernels' temporaries stay cache-resident.  Each block's
+    rows are summed by numpy's pairwise sum and the block sums are added in
+    order.  The canonical order puts the same rows at the same positions
+    whatever the order of the observations, so every sum is the same to the
+    last bit under any permutation of them.  A sum whose terms hold inf and
+    -inf is nan; one that overflows is +-inf.
     """
-    def blocks():
-        alpha, gamma = spec.split(theta)
+    y, W, Z, _ = spec._canonical
+    alpha, gamma = spec.split(theta)
+    total = 0.0
+    with np.errstate(all="ignore"):
         for start in range(0, spec.n_obs, _BLOCK):
             rows = slice(start, start + _BLOCK)
-            yield terms(rows, spec.response[rows],
-                        np.exp(spec.mu_design[rows] @ alpha),
-                        np.exp(spec.sigma_design[rows] @ gamma))
-
-    with np.errstate(all="ignore"):
-        sums = _exact_row_sums(blocks())
-        if sums is not None:
-            return sums
-        whole_rows = np.hstack(list(blocks()))
-    sums = []
-    for row in whole_rows:
-        try:
-            sums.append(math.fsum(memoryview(row)))
-        except (ValueError, OverflowError):
-            sums.append(math.nan)
-    return sums
+            total = total + terms(y[rows], W[rows], Z[rows], np.exp(W[rows] @ alpha),
+                                  np.exp(Z[rows] @ gamma)).sum(axis=1)
+    return total
 
 
 def log_likelihood(spec: ModelSpec, theta) -> float:
     """Joint log-likelihood; -inf whenever it, or any term, is not finite.
 
     The sum of the median-parameterized log-densities at (y_i, mu_i, sigma_i)
-    is correctly rounded (``_row_sums``), so it does not depend on the order
-    of the observations, down to the last bit.
+    is taken in the canonical row order (``_row_sums``), so it does not depend
+    on the order of the observations, down to the last bit.
     """
-    [total] = _row_sums(
-        spec, theta, lambda rows, y, mu, sigma: median_tilted_logpdf(y, mu, sigma)[None])
-    return total if math.isfinite(total) else -math.inf
+    [total] = _row_sums(spec, theta, lambda y, W, Z, mu, sigma:
+                        median_tilted_logpdf(y, mu, sigma)[None])
+    return float(total) if math.isfinite(total) else -math.inf
 
 
 def _loglik_score_and_hessian(spec: ModelSpec, theta):
@@ -234,17 +219,17 @@ def _loglik_score_and_hessian(spec: ModelSpec, theta):
     Chains the kernel's log f and link-coordinate derivatives through the
     designs in row blocks of ``_BLOCK``: the sum of log f is ``log_likelihood``
     bit for bit, the score is (W'd_u, Z'd_v), the Hessian has the blocks
-    W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one correctly rounded sum
-    (``_row_sums``), independent of observation order and blocking.  A score
-    or Hessian entry whose terms hold inf and -inf, or whose sum overflows,
-    is nan.
+    W'D_uu W, W'D_uv Z and Z'D_vv Z.  Each entry is one sum in the canonical
+    row order (``_row_sums``), independent of the order of the observations.
+    A score or Hessian entry whose terms hold inf and -inf is nan, and one
+    whose terms or sum overflow is +-inf or nan.
     """
     p1, p = spec.n_mu_coefs, spec.n_coefs
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
-    def block_terms(rows, y, mu, sigma):
+    def block_terms(y, W, Z, mu, sigma):
         log_f, d_u, d_v, d_uu, d_uv, d_vv = median_tilted_derivatives(y, mu, sigma)
-        cols = [*spec.mu_design[rows].T, *spec.sigma_design[rows].T]
+        cols = [*W.T, *Z.T]
         terms = np.empty((1 + p + len(pairs), y.size))
         terms[0] = log_f
         for i in range(p):
@@ -254,11 +239,12 @@ def _loglik_score_and_hessian(spec: ModelSpec, theta):
             np.multiply(cols[i] * cols[j], d, out=terms[k])
         return terms
 
-    ll, *sums = _row_sums(spec, theta, block_terms)
+    sums = _row_sums(spec, theta, block_terms)
+    ll = float(sums[0])
     H = np.empty((p, p))
-    for k, (i, j) in enumerate(pairs, start=p):
+    for k, (i, j) in enumerate(pairs, start=1 + p):
         H[i, j] = H[j, i] = sums[k]
-    return ll if math.isfinite(ll) else -math.inf, np.array(sums[:p]), H
+    return ll if math.isfinite(ll) else -math.inf, sums[1:1 + p], H
 
 
 def _cholesky_solve(J: np.ndarray, b: np.ndarray, shifts=(0.0,)):
@@ -362,16 +348,16 @@ def _newton(spec: ModelSpec, theta: np.ndarray, warm: bool = False):
 
     Each iteration solves J step = score with the observed information
     J = -H from one derivative pass, shifting J's diagonal where its Cholesky
-    fails, and halves the step until the log-likelihood does not fall.  After
-    a full-length step, and for the first step from a ``warm`` start near the
-    optimum, the next full step is tried with the derivative pass, and its
-    score and Hessian are kept if it is taken; other trial points, which
-    step halving may reject, get the cheaper ``log_likelihood``.  The
-    loop stops at the first point whose score max-norm is below ``_GRAD_TOL``
-    and whose half Newton decrement score . step / 2, the gain a further step
-    predicts, is below ``_LL_TOL`` max(1, |loglik|) (Boyd & Vandenberghe,
-    Convex Optimization, 9.5.1), or after ``_MAX_ITER`` iterations, or when
-    no step can be taken.
+    fails, and halves the step until the log-likelihood does not fall by more
+    than the rounding of its sum.  After a full-length step, and for the
+    first step from a ``warm`` start near the optimum, the next full step is
+    tried with the derivative pass, and its score and Hessian are kept if it
+    is taken; other trial points, which step halving may reject, get the
+    cheaper ``log_likelihood``.  The loop stops at the first point whose
+    score max-norm is below ``_GRAD_TOL`` and whose half Newton decrement
+    score . step / 2, the gain a further step predicts, is below ``_LL_TOL``
+    max(1, |loglik|) (Boyd & Vandenberghe, Convex Optimization, 9.5.1), or
+    after ``_MAX_ITER`` iterations, or when no step can be taken.
 
     Returns (theta, loglik, H, score max-norm, iterations, converged) at the
     last iterate, or None when the log-likelihood at the start is not finite.
@@ -379,6 +365,11 @@ def _newton(spec: ModelSpec, theta: np.ndarray, warm: bool = False):
     ll, g, H = _loglik_score_and_hessian(spec, theta)
     if not np.isfinite(ll):
         return None
+    # ll is within about (24 + n/_BLOCK) eps of the sum of its terms'
+    # magnitudes from exact (README), |ll| when every log f is negative: a
+    # trial point that reads less than that below ll may still improve on
+    # it, so step halving does not reject it.
+    slack_rtol = (24 + spec.n_obs / _BLOCK) * np.finfo(float).eps
 
     iterations = 0
     converged = False
@@ -395,9 +386,10 @@ def _newton(spec: ModelSpec, theta: np.ndarray, warm: bool = False):
         if converged or iterations >= _MAX_ITER:
             break
         scale = 1.0
+        slack = max(1e-12, slack_rtol * abs(ll))
         fused = _loglik_score_and_hessian(spec, theta + step) if full_step else None
         ll_new = fused[0] if fused else log_likelihood(spec, theta + step)
-        while scale > 1e-8 and not (np.isfinite(ll_new) and ll_new >= ll - 1e-12):
+        while scale > 1e-8 and not (np.isfinite(ll_new) and ll_new >= ll - slack):
             scale *= 0.5
             fused = None
             ll_new = log_likelihood(spec, theta + scale * step)
@@ -411,33 +403,17 @@ def _newton(spec: ModelSpec, theta: np.ndarray, warm: bool = False):
     return theta, ll, H, gnorm, iterations, converged
 
 
-def _pilot_rows(spec: ModelSpec) -> np.ndarray:
-    """Mask of the rows whose 64-bit row hash has its top 4 bits zero.
-
-    The bits of y and of each row of W and Z are combined one column at a
-    time by multiplicative hashing (Knuth, TAOCP vol. 3, 6.4).  A row's pick
-    depends on its values only, so the same rows are picked in any order;
-    about one distinct row in 16 is.
-    """
-    h = np.zeros(spec.n_obs, dtype=np.uint64)
-    for column in (spec.response, *spec.mu_design.T, *spec.sigma_design.T):
-        h ^= (column + 0.0).view(np.uint64)  # + 0.0 maps -0.0 to 0.0
-        h *= np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
-    return h >> np.uint64(60) == 0
-
-
 def _pilot_theta(spec: ModelSpec) -> np.ndarray | None:
-    """theta_hat of the rows ``_pilot_rows`` picks, fitted from
-    ``_initial_theta``; None when those rows leave a coefficient inestimable
-    (say, they miss a rare dummy level), or the loop cannot start or does not
-    converge.  Its warnings are dropped: it only picks a start.
+    """theta_hat of the pilot rows, the leading rows of ``spec._canonical``,
+    fitted from ``_initial_theta``; None when those rows leave a coefficient
+    inestimable (say, they miss a rare dummy level), or the loop cannot start
+    or does not converge.  Its warnings are dropped: it only picks a start.
     """
-    keep = _pilot_rows(spec)
+    y, W, Z, k = spec._canonical
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            pilot = ModelSpec(spec.response[keep], spec.mu_design[keep],
-                              spec.sigma_design[keep])
+            pilot = ModelSpec(y[:k], W[:k], Z[:k])
             _check_estimable(pilot)
         except SpecificationError:
             return None
@@ -454,7 +430,7 @@ def fit(spec: ModelSpec) -> FittedModel:
     Newton loop ``_newton`` from ``_initial_theta``.
 
     With at least ``_PILOT_MIN_OBS`` observations the loop runs twice: on a
-    pilot of about n/16 rows picked by their values (``_pilot_theta``), then
+    pilot of about n/16 rows picked by their hash (``_pilot_theta``), then
     on all rows from the pilot's estimate, a start from a subsample fit
     (Bickel, JASA 70, 1975; Wang, Zhu & Ma, JASA 113, 2018) that takes the
     full-data loop from 7 iterations to 3-5 at n = 1e5.  The full data start
