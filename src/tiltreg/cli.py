@@ -1,31 +1,29 @@
-"""Command-line interface.
+"""Command-line interface: argument handling and output.
 
 Subcommands: ``fit`` (estimate a median regression from CSV data and persist
 it as JSON), ``predict`` (fitted medians/shapes for new rows), ``residuals``
 (quantile residuals as CSV), ``dist`` (evaluate distribution functions) and
 ``sample`` (seeded random draws).  Exit codes: 0 success, 1 usage or
-specification error, 2 numerical non-convergence, 3 I/O error.
+specification error, 2 numerical non-convergence, 3 I/O error.  ``data``
+reads the tables and writes, reads and checks the model file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import warnings
 
-import numpy as np
-
-from . import __version__
 from .baseline import ExponentialBaseline
 from .data import (
     ModelConfig,
-    _check_schema,
     build_design,
     design_matrices,
     design_schema,
     ingest_csv,
+    model_document,
+    read_model,
     table_from_schema,
 )
 from .diagnostics import build_report, quantile_residuals, render_svg
@@ -33,8 +31,6 @@ from .errors import InferenceError, NumericalError, SpecificationError
 from .exponential import MedianTiltedExponential
 from .family import TiltedDistribution
 from .regression import FittedModel, ModelSpec, fit, predict
-
-_MODEL_FORMAT = "tiltreg-model"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,32 +128,6 @@ def _coefficient_table(model: FittedModel) -> str:
     return "\n".join(lines)
 
 
-def _model_document(model: FittedModel, schema: dict) -> dict:
-    return {
-        "format": _MODEL_FORMAT,
-        "version": __version__,
-        "schema": schema,
-        "coefficients": list(model.coef_names),
-        "n_mu_coefs": model.n_mu_coefs,
-        "estimates": model.theta_hat.tolist(),
-        "std_errors": model.std_errors.tolist(),
-        "z_stats": model.z_stats.tolist(),
-        "p_values": model.p_values.tolist(),
-        "info_inverse": model.info_inverse.tolist(),
-        "loglik": model.loglik_at_optimum,
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "gradient_max_norm": model.gradient_max_norm,
-        "n_obs": model.n_obs,
-    }
-
-
-def _write_json(path, document: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(document, indent=2, sort_keys=True))
-        fh.write("\n")
-
-
 def _write_lines(path, header: str, lines) -> None:
     """Write ``header`` and then each of ``lines`` as one CSV line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -167,50 +137,8 @@ def _write_lines(path, header: str, lines) -> None:
 
 def _warn_dropped(table) -> None:
     if table.n_dropped:
-        print(
-            f"warning: dropped {table.n_dropped} row(s) with missing or "
-            f"unparseable cells",
-            file=sys.stderr,
-        )
-
-
-def _load_model(path) -> tuple[FittedModel, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SpecificationError(f"{path} holds a JSON {type(doc).__name__}, not an object")
-    if doc.get("format") != _MODEL_FORMAT:
-        raise SpecificationError(f"{path} is not a {_MODEL_FORMAT} file")
-    try:
-        model = FittedModel(
-            theta_hat=np.array(doc["estimates"], dtype=float),
-            info_inverse=np.array(doc["info_inverse"], dtype=float),
-            loglik_at_optimum=float(doc["loglik"]),
-            converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
-            gradient_max_norm=float(doc["gradient_max_norm"]),
-            n_mu_coefs=int(doc["n_mu_coefs"]),
-            n_obs=int(doc["n_obs"]),
-            coef_names=tuple(doc["coefficients"]),
-        )
-        schema = _check_schema(path, doc["schema"])
-    except KeyError as exc:
-        raise SpecificationError(f"{path} has no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
-    names = doc["coefficients"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
-            and len(set(names)) == len(names)):
-        raise SpecificationError(f"{path}: coefficients are not distinct names")
-    p = len(names)
-    if model.theta_hat.shape != (p,) or not np.isfinite(model.theta_hat).all():
-        raise SpecificationError(
-            f"{path}: estimates are not {p} finite numbers, one per coefficient")
-    if not 1 <= model.n_mu_coefs < p:
-        raise SpecificationError(f"{path}: n_mu_coefs is not in [1, {p})")
-    if model.info_inverse.shape != (p, p):  # nan entries allowed: unconverged fits
-        raise SpecificationError(f"{path}: info_inverse is not {p} x {p}")
-    return model, schema
+        print(f"warning: dropped {table.n_dropped} row(s) with missing or "
+              "unparseable cells", file=sys.stderr)
 
 
 def cmd_fit(args) -> int:
@@ -237,7 +165,8 @@ def cmd_fit(args) -> int:
     print()
     print(_coefficient_table(model))
 
-    _write_json(args.out, _model_document(model, design_schema(table, config)))
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(model_document(model, design_schema(table, config)))
     if args.plots:
         report = build_report(residuals)
         render_svg(report, "qq", f"{args.plots}_qq.svg")
@@ -257,11 +186,17 @@ def cmd_fit(args) -> int:
 # predict / residuals
 # ---------------------------------------------------------------------------
 
-def cmd_predict(args) -> int:
-    model, schema = _load_model(args.model)
-    table = table_from_schema(args.data, schema, require_response=False)
+def _model_and_rows(args, require_response: bool):
+    """(model, y, W, Z): the --model and the --data rows read by its schema."""
+    model, schema = read_model(args.model)
+    table = table_from_schema(args.data, schema, require_response)
     _warn_dropped(table)
     W, Z, _, _ = design_matrices(table, schema)
+    return model, table.numeric[schema["response"]] if require_response else None, W, Z
+
+
+def cmd_predict(args) -> int:
+    model, _, W, Z = _model_and_rows(args, require_response=False)
     medians, sigmas = predict(model, W, Z)
     _write_lines(args.out, "median,sigma",
                  (f"{m!r},{s!r}" for m, s in zip(medians.tolist(), sigmas.tolist())))
@@ -270,11 +205,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_residuals(args) -> int:
-    model, schema = _load_model(args.model)
-    table = table_from_schema(args.data, schema, require_response=True)
-    _warn_dropped(table)
-    spec = ModelSpec(table.numeric[schema["response"]],
-                     *design_matrices(table, schema))
+    model, y, W, Z = _model_and_rows(args, require_response=True)
+    spec = ModelSpec(y, W, Z)
     if not model.converged:
         print("warning: the model did not converge; residuals are from its "
               "last iterate", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""CSV ingestion and design-matrix construction for the CLI.
+"""CSV ingestion, design matrices and the model file for the CLI.
 
 Input files are UTF-8 CSV, with or without a leading byte-order mark, with a
 header row, comma delimiter and '.' decimal mark.  Only the columns a model
@@ -7,21 +7,25 @@ non-missing cells parse as numbers; anything else is categorical, with levels
 sorted lexicographically and the first level used as the dummy-coding
 reference.  Data read against a stored model schema takes the kinds and levels
 from it.  Rows with missing or unparseable cells in a referenced column are
-dropped, and the drop count is reported on the table.
+dropped, and the drop count is reported on the table.  ``model_document``
+writes a model file and ``read_model`` reads it, holding every check of it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import SpecificationError
-from .regression import ModelSpec
+from .regression import FittedModel, ModelSpec
 
 _MISSING = {"", "NA", "NaN", "nan", "N/A", "null", "NULL"}
+_MODEL_FORMAT = "tiltreg-model"
 
 
 @dataclass(frozen=True)
@@ -155,40 +159,21 @@ def table_from_schema(path, schema: dict, require_response: bool) -> DatasetTabl
     return _read_table(path, columns, kinds)
 
 
-def _dummy_columns(
-    values: list[str], levels: tuple[str, ...], column: str
-) -> tuple[list[np.ndarray], list[str]]:
-    """Dummy-code against the first (reference) level; k levels -> k-1 columns."""
-    unknown = sorted(set(values) - set(levels))
-    if unknown:
-        raise SpecificationError(
-            f"column {column}: unknown level(s) {', '.join(unknown)}"
-        )
-    cols, names = [], []
-    for level in levels[1:]:
-        cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
-        names.append(f"{column}{level}")
-    return cols, names
-
-
-def _design_matrix(
-    table: DatasetTable,
-    terms: tuple[str, ...],
-    levels: dict[str, tuple[str, ...]],
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    cols = [np.ones(table.n_rows)]
-    names = ["(Intercept)"]
-    for term in terms:
-        if table.is_numeric(term):
-            cols.append(table.numeric[term])
-            names.append(term)
+def _design_columns(schema: dict, key: str):
+    """(term, level) of each column of the ``schema[key]`` design after the
+    intercept: level None for a numeric term, and for a categorical term one
+    dummy per level after the first, the reference."""
+    columns = {c["name"]: c for c in schema["columns"]}
+    for term in schema[key]:
+        if columns[term]["kind"] == "numeric":
+            yield term, None
         else:
-            dummies, dnames = _dummy_columns(
-                table.categorical[term], levels[term], term
-            )
-            cols.extend(dummies)
-            names.extend(dnames)
-    return np.column_stack(cols), tuple(names)
+            yield from ((term, level) for level in columns[term]["levels"][1:])
+
+
+def _design_names(schema: dict, key: str) -> tuple[str, ...]:
+    return ("(Intercept)", *(term if level is None else f"{term}{level}"
+                             for term, level in _design_columns(schema, key)))
 
 
 def design_matrices(table: DatasetTable, schema: dict
@@ -199,11 +184,20 @@ def design_matrices(table: DatasetTable, schema: dict
     with, say, a single origin level still gets every trained column; an
     unseen level is an error naming it.
     """
-    levels = {t["name"]: tuple(t["levels"])
-              for t in schema["columns"] if t["kind"] == "categorical"}
-    W, mu_names = _design_matrix(table, tuple(schema["mu_terms"]), levels)
-    Z, sigma_names = _design_matrix(table, tuple(schema["sigma_terms"]), levels)
-    return W, Z, mu_names, sigma_names
+    for column in schema["columns"]:
+        if column["kind"] == "categorical":
+            unknown = sorted(set(table.categorical[column["name"]]) - set(column["levels"]))
+            if unknown:
+                raise SpecificationError(
+                    f"column {column['name']}: unknown level(s) {', '.join(unknown)}")
+
+    def design(key: str) -> np.ndarray:
+        return np.column_stack([np.ones(table.n_rows)] + [
+            table.numeric[term] if level is None else
+            np.array([1.0 if v == level else 0.0 for v in table.categorical[term]])
+            for term, level in _design_columns(schema, key)])
+    return (design("mu_terms"), design("sigma_terms"),
+            _design_names(schema, "mu_terms"), _design_names(schema, "sigma_terms"))
 
 
 def build_design(table: DatasetTable, config: ModelConfig) -> ModelSpec:
@@ -226,13 +220,9 @@ def design_schema(table: DatasetTable, config: ModelConfig) -> dict:
     """JSON-ready description of how prediction data must be interpreted."""
     terms = []
     for term in dict.fromkeys(config.mu_terms + config.sigma_terms):
-        if table.is_numeric(term):
-            terms.append({"name": term, "kind": "numeric"})
-        else:
-            terms.append(
-                {"name": term, "kind": "categorical",
-                 "levels": list(table.levels[term])}
-            )
+        terms.append({"name": term, "kind": "numeric"} if table.is_numeric(term) else
+                     {"name": term, "kind": "categorical",
+                      "levels": list(table.levels[term])})
     return {
         "response": config.response,
         "mu_terms": list(config.mu_terms),
@@ -241,16 +231,72 @@ def design_schema(table: DatasetTable, config: ModelConfig) -> dict:
     }
 
 
+def model_document(model: FittedModel, schema: dict) -> str:
+    """The text of a model file: ``model`` and the ``design_schema`` its data
+    were read by, as sorted, indented JSON; ``read_model`` reads it back."""
+    return json.dumps({
+        "format": _MODEL_FORMAT,
+        "version": __version__,
+        "schema": schema,
+        "coefficients": list(model.coef_names),
+        "n_mu_coefs": model.n_mu_coefs,
+        "estimates": model.theta_hat.tolist(),
+        "std_errors": model.std_errors.tolist(),
+        "z_stats": model.z_stats.tolist(),
+        "p_values": model.p_values.tolist(),
+        "info_inverse": model.info_inverse.tolist(),
+        "loglik": model.loglik_at_optimum,
+        "converged": model.converged,
+        "iterations": model.iterations,
+        "gradient_max_norm": model.gradient_max_norm,
+        "n_obs": model.n_obs,
+    }, indent=2, sort_keys=True) + "\n"
+
+
 def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _check_schema(path, schema) -> dict:
-    """Return ``schema`` if it has the layout ``design_schema`` writes.
+def read_model(path) -> tuple[FittedModel, dict]:
+    """(model, schema) of a ``model_document`` file, or SpecificationError
+    naming the file and its first fault: an entry missing or not of its JSON
+    type, a schema unlike those ``design_schema`` writes, or arrays and
+    coefficient names that disagree with each other or with the schema's
+    designs.  The derived ``std_errors``, ``z_stats`` and ``p_values`` are
+    not read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise SpecificationError(f"{path} is not a JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecificationError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    if doc.get("format") != _MODEL_FORMAT:
+        raise SpecificationError(f"{path} is not a {_MODEL_FORMAT} file")
 
-    Otherwise raise SpecificationError naming the file and the first entry
-    that is missing or of the wrong type.
-    """
+    def entry(key: str, types=(int,), what="integer"):
+        if type(doc[key]) not in types:  # exact: a JSON true is no integer
+            raise TypeError(f"{key!r} is not a JSON {what}")
+        return doc[key]
+
+    try:
+        model = FittedModel(
+            theta_hat=np.array(doc["estimates"], dtype=float),
+            info_inverse=np.array(doc["info_inverse"], dtype=float),
+            loglik_at_optimum=float(entry("loglik", (int, float), "number")),
+            converged=entry("converged", (bool,), "boolean"),
+            iterations=entry("iterations"),
+            gradient_max_norm=float(entry("gradient_max_norm", (int, float), "number")),
+            n_mu_coefs=entry("n_mu_coefs"),
+            n_obs=entry("n_obs"),
+            coef_names=tuple(doc["coefficients"]),
+        )
+        schema = doc["schema"]
+    except KeyError as exc:
+        raise SpecificationError(f"{path} has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
+
     def bad(what: str) -> SpecificationError:
         return SpecificationError(f"{path} has a model schema {what}")
 
@@ -272,8 +318,29 @@ def _check_schema(path, schema) -> dict:
             raise bad(f"whose categorical column {column['name']!r} has no levels")
         if kind not in ("numeric", "categorical"):
             raise bad(f"whose column {column['name']!r} has kind {kind!r}")
+        if column["name"] == schema["response"] and kind != "numeric":
+            raise bad(f"whose response column {column['name']!r} is not numeric")
     named = {column["name"] for column in columns}
     for term in schema["mu_terms"] + schema["sigma_terms"]:
         if term not in named:
             raise bad(f"whose term {term!r} has no column entry")
-    return schema
+
+    names, p = doc["coefficients"], len(model.coef_names)
+    mu_names = _design_names(schema, "mu_terms")
+    designed = [f"mu.{n}" for n in mu_names] + [
+        f"sigma.{n}" for n in _design_names(schema, "sigma_terms")]
+    for fault, what in (  # the first fault is reported
+            (not (_is_names(names) and len(set(names)) == p),
+             "coefficients are not distinct names"),
+            (model.theta_hat.shape != (p,) or not np.isfinite(model.theta_hat).all(),
+             f"estimates are not {p} finite numbers, one per coefficient"),
+            (not 1 <= model.n_mu_coefs < p, f"n_mu_coefs is not in [1, {p})"),
+            # nan entries allowed: unconverged fits
+            (model.info_inverse.shape != (p, p), f"info_inverse is not {p} x {p}"),
+            (model.n_mu_coefs != len(mu_names),
+             f"n_mu_coefs is not {len(mu_names)}, the median columns of its schema"),
+            (names != designed,
+             f"coefficients are not its schema's design names {', '.join(designed)}")):
+        if fault:
+            raise SpecificationError(f"{path}: {what}")
+    return model, schema

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 
 from tiltreg import (
     ExponentialBaseline,
+    FittedModel,
     ModelConfig,
     SpecificationError,
     TiltedDistribution,
@@ -18,7 +20,7 @@ from tiltreg import (
 )
 from tiltreg import regression
 from tiltreg.cli import main
-from tiltreg.data import design_matrices, table_from_schema
+from tiltreg.data import design_matrices, model_document, read_model, table_from_schema
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +177,26 @@ class TestFitCommand:
         assert (d1 / "lime_worm.svg").read_bytes() == (d2 / "lime_worm.svg").read_bytes()
 
     def test_lime_plot_bytes_match_pinned_digests(self, tmp_path, lime_path, capsys):
-        """The lime ``fit --plots`` SVGs hash to the digests pinned here.
+        """The lime ``fit --plots`` SVGs and model file hash to the digests
+        pinned here.
 
-        Every coordinate is printed to 0.01 px, so a last-bit libm
-        difference does not move these bytes.  A change that declares a
-        change of plot output must update the digests with it.
+        Every SVG coordinate is printed to 0.01 px, so a last-bit libm
+        difference does not move those bytes.  The model file prints every
+        bit of the estimates and of the inverse information, so its digest
+        also pins the fit.  A change that declares a change of plot or model
+        output must update the digests with it.
         """
-        code, _ = run_fit(tmp_path, lime_path, ("--plots", str(tmp_path / "lime")))
+        code, model = run_fit(tmp_path, lime_path, ("--plots", str(tmp_path / "lime")))
         assert code == 0
         capsys.readouterr()
-        digests = {
-            kind: hashlib.sha256((tmp_path / f"lime_{kind}.svg").read_bytes()).hexdigest()
-            for kind in ("qq", "worm")
-        }
+        files = {"qq": tmp_path / "lime_qq.svg", "worm": tmp_path / "lime_worm.svg",
+                 "model": model}
+        digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for kind, path in files.items()}
         assert digests == {
             "qq": "ffb34dbbcf1ab75870c1d6a09c3c429520617f09921cd52e07b3bae2e7e724ee",
             "worm": "ef91bcd8c447b221f77e9c54ab8abb29cf78f9a5455e5887486716410470a257",
+            "model": "e00ef85e5dd495b942a37001e174dc9e5c9539cbfd6000a52bf4bf77921c9024",
         }
 
     def test_persistence_roundtrip_is_stable(self, tmp_path, lime_path):
@@ -395,11 +401,33 @@ class TestPredictCommand:
         assert err.startswith("error: ")
         assert str(model) in err and message in err
 
+    @pytest.mark.parametrize("text", ["{", "\xff\xfe"], ids=["truncated", "binary"])
+    def test_model_file_that_is_not_json(self, tmp_path, lime_path, capsys, text):
+        model = tmp_path / "bad.json"
+        model.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model),
+                     "--data", str(lime_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} is not a JSON file: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("schema, message", [
         ({}, "model schema without a response name"),
         ({"response": "Foliage", "mu_terms": ["Origin"], "sigma_terms": [],
           "columns": [{"name": "Origin", "kind": "categorical"}]},
          "categorical column 'Origin' has no levels"),
+        # the coefficients are those of Age then Origin
+        ({"response": "Foliage", "mu_terms": ["Origin", "Age"], "sigma_terms": [],
+          "columns": [{"name": "Age", "kind": "numeric"},
+                      {"name": "Origin", "kind": "categorical",
+                       "levels": ["Coppice", "Natural", "Planted"]}]},
+         "coefficients are not its schema's design names mu.(Intercept), "
+         "mu.OriginNatural, mu.OriginPlanted, mu.Age, sigma.(Intercept)"),
+        ({"response": "Foliage", "mu_terms": ["Age"], "sigma_terms": ["Foliage"],
+          "columns": [{"name": "Age", "kind": "numeric"},
+                      {"name": "Foliage", "kind": "categorical", "levels": ["a"]}]},
+         "response column 'Foliage' is not numeric"),
     ])
     def test_malformed_model_schema(self, model_path, tmp_path, lime_path,
                                     capsys, schema, message):
@@ -431,9 +459,21 @@ class TestPredictCommand:
         ("coefficients", "abcde", "coefficients are not distinct names"),
         ("coefficients", ["a", "b", "c", "d", None],
          "coefficients are not distinct names"),
+        ("n_mu_coefs", 2, "n_mu_coefs is not 4, the median columns of its schema"),
+        ("coefficients", ["mu.(Intercept)", "mu.OriginNatural", "mu.Age",
+                          "mu.OriginPlanted", "sigma.(Intercept)"],
+         "coefficients are not its schema's design names mu.(Intercept), mu.Age,"),
+        ("converged", "no", "'converged' is not a JSON boolean"),
+        ("converged", 1, "'converged' is not a JSON boolean"),
+        ("iterations", 3.0, "'iterations' is not a JSON integer"),
+        ("n_obs", "385", "'n_obs' is not a JSON integer"),
+        ("n_mu_coefs", True, "'n_mu_coefs' is not a JSON integer"),
+        ("loglik", "-492.9", "'loglik' is not a JSON number"),
     ], ids=["null-estimates", "nan-estimate", "short-estimates", "n-mu-9",
             "n-mu-0", "info-1x1", "text-estimates", "ragged-info", "number-names",
-            "repeated-names", "one-string-names", "null-name"])
+            "repeated-names", "one-string-names", "null-name", "n-mu-2",
+            "permuted-names", "text-converged", "number-converged",
+            "float-iterations", "text-n-obs", "boolean-n-mu", "text-loglik"])
     def test_inconsistent_model_arrays(self, model_path, tmp_path, lime_path,
                                        capsys, command, key, value, message):
         doc = json.loads(model_path.read_text())
@@ -467,6 +507,44 @@ class TestPredictCommand:
                      "--data", str(csv), "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "Grafted" in capsys.readouterr().err
+
+
+class TestModelFile:
+    """``model_document`` and ``read_model`` are one format, read back whole."""
+
+    @pytest.mark.parametrize("mu_terms, max_iter", [
+        (("Age", "Origin"), 500),
+        ((), 500),
+        # two Newton iterations leave lime where J is not positive definite
+        (("Age", "Origin"), 2),
+    ], ids=["lime", "intercept-only", "unconverged"])
+    def test_written_model_reads_back_field_by_field(
+            self, tmp_path, lime_path, monkeypatch, mu_terms, max_iter):
+        monkeypatch.setattr(regression, "_MAX_ITER", max_iter)
+        config = ModelConfig(response="Foliage", mu_terms=mu_terms)
+        table = ingest_csv(lime_path, config)
+        schema = design_schema(table, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = fit(build_design(table, config))
+        if max_iter == 2:
+            assert not model.converged and np.isnan(model.info_inverse).all()
+        else:
+            assert model.converged
+        path = tmp_path / "model.json"
+        path.write_bytes(model_document(model, schema).encode("utf-8"))
+        read, read_schema = read_model(path)
+        assert read_schema == schema
+        for f in dataclasses.fields(FittedModel):
+            written, back = getattr(model, f.name), getattr(read, f.name)
+            assert type(back) is type(written), f.name
+            if isinstance(written, np.ndarray):
+                assert back.shape == written.shape, f.name
+                assert np.array_equal(back, written, equal_nan=True), f.name
+            elif isinstance(written, float):
+                assert repr(back) == repr(written), f.name
+            else:
+                assert back == written, f.name
 
 
 class TestOneDataPath:

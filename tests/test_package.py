@@ -33,3 +33,14 @@ def test_every_public_name_is_documented_or_used():
     orphans = [name for name in tiltreg.__all__
                if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert orphans == []
+
+
+def test_cli_imports_no_private_name():
+    # The CLI handles arguments and output through the modules' public names;
+    # what it needs of a private one belongs in that module.
+    tree = ast.parse((ROOT / "src" / "tiltreg" / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "tiltreg")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
