@@ -279,10 +279,18 @@ def read_model(path) -> tuple[FittedModel, dict]:
             raise TypeError(f"{key!r} is not a JSON {what}")
         return doc[key]
 
+    def numbers(key: str) -> np.ndarray:
+        # dtype=float would take "1.5" and true; null reads as nan, standard
+        # JSON's stand-in for the NaN an unconverged fit writes
+        values = np.array(doc[key], dtype=object)
+        if not all(v is None or type(v) in (int, float) for v in values.flat):
+            raise TypeError(f"{key!r} is not an array of JSON numbers")
+        return values.astype(float)
+
     try:
         model = FittedModel(
-            theta_hat=np.array(doc["estimates"], dtype=float),
-            info_inverse=np.array(doc["info_inverse"], dtype=float),
+            theta_hat=numbers("estimates"),
+            info_inverse=numbers("info_inverse"),
             loglik_at_optimum=float(entry("loglik", (int, float), "number")),
             converged=entry("converged", (bool,), "boolean"),
             iterations=entry("iterations"),
@@ -294,7 +302,7 @@ def read_model(path) -> tuple[FittedModel, dict]:
         schema = doc["schema"]
     except KeyError as exc:
         raise SpecificationError(f"{path} has no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecificationError(f"{path} has an entry of the wrong type: {exc}") from exc
 
     def bad(what: str) -> SpecificationError:

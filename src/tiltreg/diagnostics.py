@@ -105,9 +105,10 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 # Points are formatted and written this many at a time.
 _CHUNK = 8192
-# Integer and cent parts of the pixel texts 0.00 to 640.00, as byte strings.
+# The pixel texts 0.00 to 640.00 as byte strings, indexed by centi-pixels.
 _UNITS = np.array([str(i) for i in range(_W + 1)], dtype="S3")
 _CENTS = np.array([f".{c:02d}" for c in range(100)], dtype="S3")
+_CENTI_TEXT = np.strings.add(_UNITS[:, None], _CENTS).ravel()[:100 * _W + 1]
 
 
 def _fmt(v: float) -> str:
@@ -119,8 +120,8 @@ def _centi_text(v: np.ndarray) -> np.ndarray:
 
     For 0 <= x < 640 the product 100 x is within 2^-37 of its exact value,
     so away from half-cent ties its nearest integer k is what the correctly
-    rounded ``.2f`` prints: the text is ``_UNITS[k // 100] + _CENTS[k % 100]``,
-    joined as byte arrays.  Values within 1e-6 of a tie, negative values
+    rounded ``.2f`` prints: the text is entry k of ``_CENTI_TEXT``, one
+    gather for the whole array.  Values within 1e-6 of a tie, negative values
     (-0.0 too), values >= 640 and nan or inf are formatted with ``.2f``
     itself, after widening the array to their length.
     """
@@ -128,8 +129,7 @@ def _centi_text(v: np.ndarray) -> np.ndarray:
     k = np.rint(c)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, caught below
         exact = ~np.signbit(v) & (v < _W) & (np.abs(c - k) < 0.5 - 1e-6)
-    units, cents = np.divmod(np.where(exact, k, 0.0).astype(np.intp), 100)
-    text = np.strings.add(_UNITS[units], _CENTS[cents])
+    text = _CENTI_TEXT[np.where(exact, k, 0.0).astype(np.intp)]
     odd = np.flatnonzero(~exact)
     if odd.size:
         formatted = np.array([f"{x:.2f}".encode() for x in v[odd].tolist()])
@@ -139,15 +139,18 @@ def _centi_text(v: np.ndarray) -> np.ndarray:
 
 
 def _join(*parts) -> bytes:
-    """``parts`` (``S`` arrays and byte strings) concatenated row by row, then
-    all rows joined into one byte string.
+    """``parts`` (``S`` arrays of one length and byte strings) concatenated
+    row by row, then all rows joined into one byte string.
 
-    ``S`` arrays pad short texts with NUL, which no SVG text holds, so the
-    padding is dropped from the joined bytes.
+    Each part fills one field of a record array, so a row's bytes are its
+    parts in order.  ``S`` types pad short texts with NUL, which no SVG text
+    holds, so the padding is dropped from the record bytes.
     """
-    rows = parts[0]
-    for part in parts[1:]:
-        rows = np.strings.add(rows, part)
+    parts = [np.asarray(part) for part in parts]
+    rows = np.empty(max(part.size for part in parts),
+                    dtype=[(f"f{i}", part.dtype) for i, part in enumerate(parts)])
+    for name, part in zip(rows.dtype.names, parts):
+        rows[name] = part
     return rows.tobytes().replace(b"\0", b"")
 
 
@@ -243,11 +246,12 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
     Points are circles, the reference (identity line for QQ, zero line plus
     dotted 95% bands for worm) is drawn beneath them.  Byte output is a pure
     function of the report contents.  Every pixel coordinate is printed to
-    0.01 px, the ``.2f`` text built from its integer number of centi-pixels
-    (``_centi_text``).  Circles and band vertices are built as byte arrays,
-    joined element-wise with the fixed markup, and written ``_CHUNK`` points
-    at a time.  Only the x texts, shared by circles and bands, are held
-    whole (a few bytes per point); the y texts and the document are not.
+    0.01 px, the ``.2f`` text gathered from a table by its integer number of
+    centi-pixels (``_centi_text``).  Circles and band vertices are built
+    ``_CHUNK`` points at a time: their texts and the fixed markup fill one
+    record array (``_join``), whose bytes are written at once.  Only the x
+    texts, shared by circles and bands, are held whole (a few bytes per
+    point); the y texts and the document are not.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")

@@ -59,8 +59,11 @@ def _check_full_rank(m: np.ndarray, label: str, names: tuple[str, ...]):
         raise SpecificationError(f"{label} has no columns")
     # Greedy scan: a column already representable by its predecessors is
     # dependent; the scan ends on the whole design when no column is.  R of
-    # m = QR has m's singular values on every subset of columns, at p x p.
-    R = np.linalg.qr(m, mode="r")
+    # m = QR has m's singular values on every subset of columns, at p x p;
+    # taken from the R factors of row blocks, stacked (TSQR): no n-sized copy.
+    blocks = [np.linalg.qr(m[start:start + _BLOCK], mode="r")
+              for start in range(0, len(m), _BLOCK)]
+    R = np.linalg.qr(np.vstack(blocks), mode="r")
     bad, kept = [], []
     for j, name in enumerate(names):
         s = np.linalg.svd(R[:, kept + [j]], compute_uv=False)

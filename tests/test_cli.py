@@ -489,6 +489,29 @@ class TestPredictCommand:
         assert str(model) in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "residuals"])
+    @pytest.mark.parametrize("key, entries", [
+        ("estimates", lambda values: [str(v) for v in values]),
+        ("estimates", lambda values: [True] * len(values)),
+        ("info_inverse", lambda rows: [[str(rows[0][0])] + rows[0][1:]] + rows[1:]),
+        ("estimates", lambda values: [10**400] + values[1:]),
+    ], ids=["text-estimates", "boolean-estimates", "one-text-info-entry",
+            "overflowing-estimate"])
+    def test_model_numbers_must_be_json_numbers(
+            self, model_path, tmp_path, lime_path, capsys, command, key, entries):
+        # "1.5" and true are no JSON numbers, though float() takes both
+        doc = json.loads(model_path.read_text())
+        doc[key] = entries(doc[key])
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = main([command, "--model", str(model),
+                     "--data", str(lime_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} has an entry of the wrong type: ")
+        assert not out.exists()
+
     def test_nan_information_of_an_unconverged_fit_is_accepted(
             self, model_path, tmp_path, lime_path, capsys):
         doc = json.loads(model_path.read_text())

@@ -21,7 +21,7 @@ from tiltreg import (
     render_svg,
 )
 from tiltreg import regression
-from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _pad_limits
+from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _join, _pad_limits
 from tests.conftest import simulate_intercept_only
 
 
@@ -231,6 +231,38 @@ class TestCentiText:
             639.995, 639.996, 640.0, 640.004, 641.5, 1e6, 1e300,
             np.nan, np.inf, -np.inf, 0.0, 5e-324,
         ])
+
+
+# Values whose .2f texts are off the canvas: up to 16 bytes wide, or "nan".
+_OFF_CANVAS = np.array([-3.14159, 640.004, 123456.789, 1e12, -1e-300,
+                        np.inf, np.nan])
+# A part of a row: a constant text without NUL, or (seed, off-canvas count)
+# for an array of .2f texts of canvas values with some off the canvas.
+_join_parts = st.one_of(
+    st.binary(min_size=1, max_size=12).map(lambda b: b.replace(b"\0", b".")),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 20)),
+)
+
+
+class TestJoin:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, _CHUNK - 1, _CHUNK + 1]),
+           st.lists(_join_parts, min_size=1, max_size=6).filter(
+               lambda parts: any(isinstance(p, tuple) for p in parts)))
+    def test_matches_per_row_join(self, n, specs):
+        parts = []
+        for spec in specs:
+            if isinstance(spec, bytes):
+                parts.append(spec)
+                continue
+            seed, off = spec
+            rng = np.random.default_rng(seed)
+            values = rng.uniform(0.0, 640.0, n)
+            values[rng.integers(0, n, off)] = rng.choice(_OFF_CANVAS, off)
+            parts.append(_centi_text(values))
+        columns = [p.tolist() if isinstance(p, np.ndarray) else [p] * n
+                   for p in parts]
+        assert _join(*parts) == b"".join(b"".join(row) for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from tiltreg.exponential import (
     _shape_constants, median_tilted_derivatives, median_tilted_logpdf,
 )
 from tiltreg.regression import (
-    _BLOCK, _GRAD_TOL, _LL_TOL, _PILOT_MIN_OBS, _cholesky_solve,
+    _BLOCK, _GRAD_TOL, _LL_TOL, _PILOT_MIN_OBS, _check_full_rank, _cholesky_solve,
     _information_inverse, _initial_theta, _loglik_score_and_hessian, _newton,
     _pilot_theta, _row_hash,
 )
@@ -96,6 +96,36 @@ class TestModelSpec:
         with pytest.raises(SpecificationError, match="sigma_design.*: sigma3$"):
             fit(ModelSpec(response=np.linspace(1, 2, 10),
                           mu_design=np.ones((10, 1)), sigma_design=W))
+
+    def test_rank_deficiency_across_row_blocks(self):
+        # R comes from the R factors of _BLOCK-row slices, stacked
+        n = 3 * _BLOCK + 17
+        x = np.random.default_rng(5).normal(size=(n, 2))
+        W = np.column_stack([np.ones(n), x, x[:, 0] - 2.0 * x[:, 1]])
+        with pytest.raises(SpecificationError, match="dependent column.*: d$"):
+            fit(ModelSpec(response=np.linspace(1, 2, n), mu_design=W,
+                          sigma_design=np.ones((n, 1)),
+                          mu_names=("(Intercept)", "b", "c", "d")))
+
+    def test_near_collinear_full_rank_is_accepted(self):
+        # smallest singular value about 1e-6 of the largest: above the 1e-10 cut
+        n = 3 * _BLOCK + 17
+        x = np.random.default_rng(6).normal(size=(n, 2))
+        W = np.column_stack([np.ones(n), x[:, 0], x[:, 0] + 1e-6 * x[:, 1]])
+        assert _check_full_rank(W, "mu_design", ("a", "b", "c")) is None
+
+    def test_rank_check_peak_memory_does_not_grow_with_n(self):
+        peaks = []
+        for n in (2 * _BLOCK, 12 * _BLOCK):
+            W = np.column_stack([np.ones(n),
+                                 np.random.default_rng(7).normal(size=(n, 2))])
+            tracemalloc.start()
+            try:
+                _check_full_rank(W, "mu_design", ("a", "b", "c"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_rejects_zero_observations(self):
         # the likelihood and its sums need at least one row
