@@ -12,10 +12,11 @@ The tilt factor ``exp(-Gbar**beta)`` equals the survival function of a
 unit-scale Weibull with shape ``beta`` evaluated at ``Gbar(x)``; it thins the
 lower tail of the baseline.  F is the law of max(X1, X2) for independent
 X1 ~ G and X2 with CDF exp(-Gbar(x)**beta), that is Gbar(X2)**beta unit
-exponential: P(X > x) = 1 - P(Gbar(X1) <= Gbar) P(Gbar(X2) <= Gbar).  This
-identity explains the upper tail S = 1 - F ~ Gbar + Gbar**beta, the sum of the
-two survivals: the baseline's for beta > 1, a heavier one, ~ Gbar**beta, for
-beta < 1.  ``sample`` draws the maximum directly.  Quantiles and moments
+exponential: P(X > x) = 1 - P(Gbar(X1) <= Gbar) P(Gbar(X2) <= Gbar).  The
+upper tail is exactly S = 1 - F = e^-w (Gbar + expm1(w)), w = Gbar**beta, a
+sum of positive terms whose far-tail limit is Gbar + Gbar**beta, the sum of
+the two survivals: the baseline's for beta > 1, a heavier one, ~ Gbar**beta,
+for beta < 1.  ``sample`` draws the maximum directly.  Quantiles and moments
 route through a unit-interval auxiliary variable with CDF
 ``y * exp(-(1-y)**beta)``: if ``Y`` follows that law, ``G^{-1}(Y)``
 follows ``F``.  They work in ``s = -log(1-Y)``, so no upper-tail ``Y`` rounds
@@ -48,9 +49,6 @@ _LOG2 = float(np.log(2.0))
 _TINY = np.finfo(float).tiny
 # Below this log p the solve's residual takes the ratio form log(y/p).
 _DEEP_LOG_P = -40.0
-# Below this log Gbar and beta log Gbar, S = Gbar + Gbar^beta: the neglected
-# terms are under e^-40 = 4e-18 relative.
-_FAR_TAIL = -40.0
 
 # Double-exponential rules (Takahasi & Mori 1974) at t = k/32, as nodes and
 # d(node)/dt: exp-sinh on (0, inf) for k in [-144, 102] and tanh-sinh on (0, 1)
@@ -165,32 +163,41 @@ class TiltedDistribution:
         G = -np.expm1(log_gbar)
         return _scalar_like(G * np.exp(-np.exp(self.beta * log_gbar)), x)
 
-    def _log_gbar_and_sf(self, t):
-        t = _require_positive(t, "t")
-        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
-        with np.errstate(divide="ignore"):
-            log_G = np.log1p(-np.exp(log_gbar))
-        return log_gbar, -np.expm1(log_G - np.exp(self.beta * log_gbar))
+    def _tail(self, x):
+        """(log Gbar, w, rho, p, q) at x > 0, from one ``baseline.log_sf`` call.
 
-    def sf(self, t):
-        """Survival 1 - F(t) = -expm1(log G - Gbar^beta), log G = log1p(-Gbar).
+        w = Gbar^beta and rho = expm1(w)/w (1 at w = 0), so that
+        S = e^-w (Gbar + rho w) exactly: a sum of positive terms, nothing
+        cancels.  p = Gbar/m and q = w/m for m = max(Gbar, w), taken from
+        log(w/Gbar) so that neither underflows: S = e^-w m (p + rho q).
+        """
+        x = _require_positive(x, "x")
+        log_gbar = np.asarray(self.baseline.log_sf(x), dtype=float)
+        w = np.exp(self.beta * log_gbar)
+        rho = np.divide(np.expm1(w), w, out=np.ones_like(w), where=w > 0.0)
+        with np.errstate(invalid="ignore"):  # 0 * -inf at beta = 1 and x = inf
+            log_a = (self.beta - 1.0) * log_gbar
+        # fmax and fmin map that nan to p = q = 1
+        return log_gbar, w, rho, np.exp(-np.fmax(log_a, 0.0)), np.exp(np.fmin(log_a, 0.0))
+
+    def sf(self, x):
+        """Survival 1 - F(x) = -expm1(log G - w), log G = log1p(-Gbar), w = Gbar^beta.
 
         No cancellation where F rounds to 1: S is accurate down to underflow.
         """
-        return _scalar_like(self._log_gbar_and_sf(t)[1], t)
-
-    def log_sf(self, t):
-        """log S(t): log(sf), or logaddexp(log Gbar, beta log Gbar) in the far tail.
-
-        Below ``_FAR_TAIL`` S = Gbar + Gbar^beta, so log S stays accurate
-        where S underflows; it is -inf only where log Gbar is.
-        """
-        log_gbar, s = self._log_gbar_and_sf(t)
-        tilted = self.beta * log_gbar
+        log_gbar, w, *_ = self._tail(x)
         with np.errstate(divide="ignore"):
-            log_s = np.where(np.maximum(log_gbar, tilted) < _FAR_TAIL,
-                             np.logaddexp(log_gbar, tilted), np.log(s))
-        return _scalar_like(log_s, t)
+            log_G = np.log1p(-np.exp(log_gbar))
+        return _scalar_like(-np.expm1(log_G - w), x)
+
+    def log_sf(self, x):
+        """log S = log m + log(p + rho q) - w, by ``_tail``'s form of S.
+
+        Accurate where S underflows; -inf only where log Gbar is.
+        """
+        log_gbar, w, rho, p, q = self._tail(x)
+        log_m = np.maximum(log_gbar, self.beta * log_gbar)
+        return _scalar_like(log_m + (np.log(p + rho * q) - w), x)
 
     def log_pdf(self, x):
         """log f = log g + log(1 + beta*G*Gbar^(beta-1)) - Gbar^beta.
@@ -214,32 +221,20 @@ class TiltedDistribution:
         """Density f = exp(log_pdf)."""
         return _scalar_like(np.exp(self.log_pdf(x)), x)
 
-    def hazard(self, t):
-        """f(t) / S(t).  Raises where log S is -inf.
+    def hazard(self, x):
+        """f/S = (g/Gbar) (p + beta G q)/(p + rho q), by ``_tail``'s form of S.
 
-        exp(log f - log S), except in the far tail of ``log_sf``: there
-        S = Gbar (1 + a) and f = g (1 + beta a) with a = Gbar^(beta-1), so
-        h = (g/Gbar) (1 + beta a)/(1 + a), with g/Gbar = exp(log g - log Gbar):
-        one difference of two large logs where exp(log f - log S) takes the
-        difference of two sums of them.
+        f = g e^-w (1 + beta G w/Gbar), so e^-w and m cancel, and
+        g/Gbar = exp(log g - log Gbar) is the one difference of large logs.
+        Raises where log Gbar, and so log S, is -inf.
         """
-        log_s = np.asarray(self.log_sf(t), dtype=float)
-        if np.any(np.isneginf(log_s)):
-            raise NumericalError(
-                "log survival is -inf at the requested point; the hazard "
-                "is undefined there"
-            )
-        h = np.exp(np.asarray(self.log_pdf(t)) - log_s)
-        log_gbar = np.asarray(self.baseline.log_sf(t), dtype=float)
-        far = np.maximum(log_gbar, self.beta * log_gbar) < _FAR_TAIL
-        if far.any():
-            # (1 + beta a)/(1 + a) with r = min(a, 1/a), so a^+-1 never overflows
-            log_a = (self.beta - 1.0) * log_gbar
-            r = np.exp(-np.abs(log_a))
-            ratio = np.where(log_a > 0, self.beta + r, 1.0 + self.beta * r) / (1.0 + r)
-            g_over_gbar = np.exp(np.asarray(self.baseline.log_pdf(t)) - log_gbar)
-            h = np.where(far, g_over_gbar * ratio, h)
-        return _scalar_like(h, t)
+        log_gbar, w, rho, p, q = self._tail(x)
+        if np.any(np.isneginf(log_gbar)):
+            raise NumericalError("log survival is -inf at the requested point; "
+                                 "the hazard is undefined there")
+        beta_G = -self.beta * np.expm1(log_gbar)
+        g_over_gbar = np.exp(np.asarray(self.baseline.log_pdf(x), dtype=float) - log_gbar)
+        return _scalar_like(g_over_gbar * (p + beta_G * q) / (p + rho * q), x)
 
     # -- quantiles and sampling ----------------------------------------
 

@@ -792,6 +792,12 @@ class TestDistCommand:
                      "--x", "1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("function", ["cdf", "pdf", "sf", "hrf"])
+    def test_nonpositive_point_names_x(self, function, capsys):
+        assert main(["dist", function, "--beta", "1", "--lambda", "1",
+                     "--x", "-1"]) == 1
+        assert capsys.readouterr().err == "error: x must be strictly positive\n"
+
     def test_hrf_where_cdf_rounds_to_one(self, capsys):
         assert main(["dist", "hrf", "--beta", "1", "--lambda", "1",
                      "--x", "40"]) == 0

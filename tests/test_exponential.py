@@ -20,6 +20,9 @@ from tiltreg.exponential import (
     median_tilted_logpdf,
 )
 
+# a numpy warning leaking out of the family layer is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LOG2 = math.log(2.0)
 
 mus = st.floats(min_value=0.1, max_value=100.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ tail_betas = st.floats(min_value=0.1, max_value=20.0)
 
 def tilted(lam=1.0, beta=1.0):
     return TiltedDistribution(ExponentialBaseline(lam), beta)
+
+
+@dataclass(frozen=True)
+class _CountingExponential(ExponentialBaseline):
+    """Exponential baseline that records each log_sf and log_pdf call."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def log_sf(self, x):
+        self.calls.append("log_sf")
+        return super().log_sf(x)
+
+    def log_pdf(self, x):
+        self.calls.append("log_pdf")
+        return super().log_pdf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +178,41 @@ class TestSurvivalAndHazard:
                     S = -mpmath.expm1(mpmath.log1p(-a) - b)
                     f = lam * a * (1 + beta * (1 - a) * b / a) * mpmath.exp(-b)
                     assert ls == pytest.approx(float(mpmath.log(S)), rel=1e-14)
-                    # the far tail's ratio form carries the rounding of
-                    # log g - log Gbar, ~lam x eps; nearer in, exp(log f -
-                    # log S) carries up to 40 eps.  6.8e-14 at most here.
+                    # the hazard's ratio form carries the rounding of
+                    # log g - log Gbar, ~lam x eps, where lam x is inexact
                     assert h == pytest.approx(float(f / S), rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-2])
+    def test_hazard_oracle_at_small_beta(self, beta):
+        # out to beta log Gbar = -39, log f and log S are both large, and
+        # their difference would carry up to ~39 eps.  At lam = 1,
+        # log g - log Gbar = 0 exactly, so the ratio form is within a few eps.
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(1.0, 39.0 / beta, 50)
+        hazard = tilted(1.0, beta).hazard(x)
+        with mpmath.workdps(60):
+            for xi, h in zip(x.tolist(), hazard):
+                a = mpmath.exp(-mpmath.mpf(xi))
+                b = a ** beta
+                S = -mpmath.expm1(mpmath.log1p(-a) - b)
+                f = a * (1 + beta * (1 - a) * b / a) * mpmath.exp(-b)
+                assert abs(h - float(f / S)) <= 1e-14 * float(f / S)
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("points", ["body", "far tail", "both", "scalar"])
+    def test_one_baseline_call_per_primitive(self, beta, points):
+        scale = min(1.0, beta)
+        x = {"body": np.array([0.05, 0.5, 3.0]),
+             "far tail": np.array([60.0, 600.0]) / scale,
+             "both": np.array([0.5, 60.0 / scale]),
+             "scalar": 600.0 / scale}[points]
+        baseline = _CountingExponential(1.0)
+        d = TiltedDistribution(baseline, beta)
+        for method, want in [("sf", ["log_sf"]), ("log_sf", ["log_sf"]),
+                             ("hazard", ["log_pdf", "log_sf"])]:
+            baseline.calls.clear()
+            getattr(d, method)(x)
+            assert sorted(baseline.calls) == want, method
 
     def test_hazard_where_cdf_rounds_to_one(self):
         # F(40) rounds to 1, so 1 - F would give S = 0; the hazard is 1
@@ -210,8 +257,8 @@ class TestSurvivalAndHazard:
     def test_hazard_tends_to_rate_times_min_one_beta(self, beta, lam):
         # in the tail h = lam (a + beta a^beta) / (a + a^beta), a = e^(-lam x),
         # which is lam*min(1, beta) up to lam |1-beta| r, r = a^|1-beta|;
-        # hazard takes this ratio form there, with g/Gbar from log g - log Gbar,
-        # which carries ~lam x_far eps, up to 6900 eps
+        # hazard takes a ratio form at every x, with g/Gbar from
+        # log g - log Gbar, which carries ~lam x_far eps, up to 6900 eps
         d = tilted(lam, beta)
         x_far = 690.0 / (lam * min(1.0, beta))
         limit = lam * min(1.0, beta)

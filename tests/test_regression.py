@@ -341,7 +341,7 @@ class TestRowBlocks:
         [1.2, -0.8, 0.5, 0.6, -0.9],
         [0.7, 0.0, 0.0, 800.0, 0.0],
     ])
-    def test_bit_identical_to_unblocked(self, spec, theta):
+    def test_order_free_and_near_unblocked_sum(self, spec, theta):
         theta = np.array(theta)
         self.assert_reproduces(spec, theta)
 
