@@ -16,7 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,12 +77,43 @@ def _try_float(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
+def _parse_column(cells: list[str], kind: str | None):
+    """(values, usable): the cells as floats or stripped strings, and the mask
+    of those that keep their row.  A column that ``float`` maps whole needs no
+    strip, as ``float`` skips surrounding whitespace; any other is stripped
+    and parsed once per distinct cell."""
+    if kind != "categorical":
+        try:
+            numbers = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            pass
+        else:
+            usable = np.isfinite(numbers)
+            if kind or usable.all():
+                return numbers, usable
+    cells = list(map(str.strip, cells))
+    if kind != "categorical":
+        counts = Counter(cells)
+        parsed = {cell: _try_float(cell) for cell in counts}
+        n_numbers = sum(k for c, k in counts.items() if parsed[c] is not None)
+        n_present = sum(k for c, k in counts.items() if c not in _MISSING)
+        if kind or 2 * n_numbers > n_present:
+            # fromiter reads None as nan, which drops the row
+            numbers = np.fromiter(map(parsed.get, cells), float, len(cells))
+            return numbers, np.isfinite(numbers)
+    return cells, ~np.fromiter(map(_MISSING.__contains__, cells), bool, len(cells))
+
+
 def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
                 ) -> DatasetTable:
-    """Read ``columns`` of a CSV file into a DatasetTable, parsing each cell once.
+    """Read ``columns`` of a CSV file into a DatasetTable.
 
+    A cell is a number iff Python's ``float`` parses it, surrounding
+    whitespace stripped, to a finite value: " 2.5 " and "1_000" are numbers,
+    while "inf", "1e400" and "nan" are not, and in a numeric column drop
+    their row like a missing cell.
     A column named in ``kinds`` has that kind, "numeric" or "categorical";
-    any other is numeric when most of its non-missing cells parse.
+    any other is numeric when most of its non-missing cells are numbers.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -88,7 +122,8 @@ def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise SpecificationError(f"{path}: file is empty") from None
-            rows = [row for row in reader if row]
+            # as tuples of strings, which the cyclic GC stops tracking
+            rows = list(map(tuple, filter(None, reader)))
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
     index = {name: i for i, name in enumerate(header)}
@@ -103,39 +138,28 @@ def _read_table(path, columns: tuple[str, ...], kinds: dict[str, str]
             f"{path}: referenced column(s) named more than once in the header: "
             f"{', '.join(repeated)}"
         )
-    for row in rows:
-        if len(row) != len(header):
-            raise SpecificationError(
-                f"{path}: row with {len(row)} cells does not match the header"
-            )
+    if set(map(len, rows)) - {len(header)}:
+        width = next(len(row) for row in rows if len(row) != len(header))
+        raise SpecificationError(
+            f"{path}: row with {width} cells does not match the header"
+        )
 
-    # Each column's cells as values, None where the row must be dropped.
-    values: dict[str, list] = {}
-    numeric_cols = set()
+    values, keep = {}, np.ones(len(rows), dtype=bool)
     for c in columns:
-        cells = [row[index[c]].strip() for row in rows]
-        if kinds.get(c) != "categorical":
-            numbers = [_try_float(v) for v in cells]
-            parsed = len(numbers) - numbers.count(None)
-            if kinds.get(c) == "numeric" or parsed * 2 > sum(
-                    v not in _MISSING for v in cells):
-                values[c] = numbers
-                numeric_cols.add(c)
-                continue
-        values[c] = [None if v in _MISSING else v for v in cells]
-
-    keep = [i for i in range(len(rows))
-            if all(column[i] is not None for column in values.values())]
-    if not keep:
+        values[c], usable = _parse_column(
+            list(map(itemgetter(index[c]), rows)), kinds.get(c))
+        keep &= usable
+    n_rows = int(keep.sum())
+    if not n_rows:
         raise SpecificationError(f"{path}: no usable rows after filtering")
 
-    table = DatasetTable(columns=columns, n_rows=len(keep),
-                         n_dropped=len(rows) - len(keep))
+    table = DatasetTable(columns=columns, n_rows=n_rows,
+                         n_dropped=len(rows) - n_rows)
     for c, column in values.items():
-        kept = [column[i] for i in keep]
-        if c in numeric_cols:
-            table.numeric[c] = np.array(kept)
+        if isinstance(column, np.ndarray):
+            table.numeric[c] = column[keep]
         else:
+            kept = list(compress(column, keep.tolist()))
             table.categorical[c] = kept
             table.levels[c] = tuple(sorted(set(kept)))
     return table
@@ -190,11 +214,13 @@ def design_matrices(table: DatasetTable, schema: dict
             if unknown:
                 raise SpecificationError(
                     f"column {column['name']}: unknown level(s) {', '.join(unknown)}")
+    # as Python str, which numpy's str type is not: it drops trailing NULs
+    cells = {c: np.array(v, dtype=object) for c, v in table.categorical.items()}
 
     def design(key: str) -> np.ndarray:
         return np.column_stack([np.ones(table.n_rows)] + [
             table.numeric[term] if level is None else
-            np.array([1.0 if v == level else 0.0 for v in table.categorical[term]])
+            (cells[term] == np.array(level, dtype=object)).astype(float)
             for term, level in _design_columns(schema, key)])
     return (design("mu_terms"), design("sigma_terms"),
             _design_names(schema, "mu_terms"), _design_names(schema, "sigma_terms"))

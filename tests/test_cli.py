@@ -1,11 +1,15 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tiltreg import (
     ExponentialBaseline,
@@ -20,12 +24,112 @@ from tiltreg import (
 )
 from tiltreg import regression
 from tiltreg.cli import main
-from tiltreg.data import design_matrices, model_document, read_model, table_from_schema
+from tiltreg.data import (
+    _MISSING, DatasetTable, _read_table, design_matrices, model_document, read_model,
+    table_from_schema,
+)
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
+
+def _oracle_try_float(cell):
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _oracle_read_table(path, columns, kinds):
+    """The reader's rule cell by cell: every cell stripped and parsed once."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SpecificationError(f"{path}: file is empty") from None
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise OSError(f"cannot read dataset {path}: {exc}") from exc
+    index = {name: i for i, name in enumerate(header)}
+    missing_cols = [c for c in columns if c not in index]
+    if missing_cols:
+        raise SpecificationError(
+            f"{path}: referenced column(s) not found: {', '.join(missing_cols)}")
+    repeated = [c for c in columns if header.count(c) > 1]
+    if repeated:
+        raise SpecificationError(
+            f"{path}: referenced column(s) named more than once in the header: "
+            f"{', '.join(repeated)}")
+    for row in rows:
+        if len(row) != len(header):
+            raise SpecificationError(
+                f"{path}: row with {len(row)} cells does not match the header")
+    values, numeric_cols = {}, set()
+    for c in columns:
+        cells = [row[index[c]].strip() for row in rows]
+        if kinds.get(c) != "categorical":
+            numbers = [_oracle_try_float(v) for v in cells]
+            parsed = len(numbers) - numbers.count(None)
+            if kinds.get(c) == "numeric" or parsed * 2 > sum(
+                    v not in _MISSING for v in cells):
+                values[c] = numbers
+                numeric_cols.add(c)
+                continue
+        values[c] = [None if v in _MISSING else v for v in cells]
+    keep = [i for i in range(len(rows))
+            if all(column[i] is not None for column in values.values())]
+    if not keep:
+        raise SpecificationError(f"{path}: no usable rows after filtering")
+    table = DatasetTable(columns=columns, n_rows=len(keep),
+                         n_dropped=len(rows) - len(keep))
+    for c, column in values.items():
+        kept = [column[i] for i in keep]
+        if c in numeric_cols:
+            table.numeric[c] = np.array(kept)
+        else:
+            table.categorical[c] = kept
+            table.levels[c] = tuple(sorted(set(kept)))
+    return table
+
+
+def assert_reads_like_oracle(path, columns, kinds=None):
+    """_read_table gives the oracle's table, numbers compared by bits, or
+    refuses the file with the oracle's message."""
+    kinds = kinds or {}
+    try:
+        expected = _oracle_read_table(path, columns, kinds)
+    except SpecificationError as exc:
+        with pytest.raises(SpecificationError) as raised:
+            _read_table(path, columns, kinds)
+        assert str(raised.value) == str(exc)
+        return None
+    table = _read_table(path, columns, kinds)
+    assert (table.columns, table.n_rows, table.n_dropped) == (
+        expected.columns, expected.n_rows, expected.n_dropped)
+    assert table.numeric.keys() == expected.numeric.keys()
+    for c, values in expected.numeric.items():
+        assert table.numeric[c].dtype == values.dtype == np.float64
+        assert table.numeric[c].tobytes() == values.tobytes(), c
+    assert table.categorical == expected.categorical
+    assert table.levels == expected.levels
+    return table
+
+
+def write_cells(path, header, rows, prefix=""):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    path.write_text(prefix + buffer.getvalue(), encoding="utf-8")
+    return path
+
+
+# float's spellings, every missing marker, text, and cells that hold commas
+CELLS = tuple(dict.fromkeys((
+    " 2.5 ", "\xa02.5", "\x1c2.5\x1f", "1_000", "1e400", "-Infinity", "nan", " NaN ",
+    "inf", "-0", "3", "0x10", "a", " b ", "a,b", "\u30002", *sorted(_MISSING))))
 
 class TestIngest:
     def test_lime_shape_and_levels(self, lime_table):
@@ -72,6 +176,94 @@ class TestIngest:
             ingest_csv(csv, ModelConfig(response="y"))
 
 
+class TestIngestMatchesTheCellByCellRule:
+    """The column-at-a-time reader against a copy of the cell-by-cell one."""
+
+    KINDS = ({}, {"x": "numeric"}, {"x": "categorical"})
+
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_each_cell_among_numbers(self, cell, kinds, tmp_path):
+        # one odd cell in a numeric column: the fast path or its fallback
+        rows = [[f"{i + 1}.5", "1.25"] for i in range(5)] + [[cell, "2"]]
+        path = write_cells(tmp_path / "d.csv", ["x", "y"], rows)
+        assert_reads_like_oracle(path, ("y", "x"), kinds)
+
+    @pytest.mark.parametrize("kinds", KINDS)
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_each_cell_among_text(self, cell, kinds, tmp_path):
+        rows = [["p"], ["q"], [" p "], [cell]]
+        path = write_cells(tmp_path / "d.csv", ["x"], rows)
+        assert_reads_like_oracle(path, ("x",), kinds)
+
+    def test_float_spellings_on_the_fast_path(self, tmp_path):
+        cells = [" 2.5 ", "\xa02.5", "1_000", "1e400", "-Infinity", "nan", " NaN ", "7"]
+        path = write_cells(tmp_path / "d.csv", ["x"], [[c] for c in cells])
+        table = assert_reads_like_oracle(path, ("x",))
+        assert table.numeric["x"].tolist() == [2.5, 2.5, 1000.0, 7.0]
+        assert table.n_dropped == 4
+
+    @pytest.mark.parametrize("kinds", KINDS)
+    def test_every_missing_marker(self, kinds, tmp_path):
+        markers = sorted(_MISSING)
+        rows = [[m, "1"] for m in markers] + [[f"{i}.5", "2"] for i in range(10)]
+        path = write_cells(tmp_path / "d.csv", ["x", "y"], rows)
+        table = assert_reads_like_oracle(path, ("y", "x"), kinds)
+        assert table.n_dropped == len(markers)
+
+    def test_quoted_cells_that_hold_commas(self, tmp_path):
+        rows = [["1.0", "a,b"], ["2.0", "c"], ["3.0", " a,b "], ["1,5", "c"]]
+        path = write_cells(tmp_path / "d.csv", ["y", "g"], rows)
+        table = assert_reads_like_oracle(path, ("y", "g"))
+        assert table.levels["g"] == ("a,b", "c") and table.n_dropped == 1
+
+    @pytest.mark.parametrize("cells, numeric", [
+        (["1.5", "2", "4", "inf", "a", "NA"], True),  # 3 numbers of 5 cells
+        (["1.5", "2", "inf", "a", "NA"], False),  # 2 of 4: a tie
+        (["1.5", "2", "inf", "a", "b", "NA"], False),  # 2 of 5
+    ])
+    def test_columns_either_side_of_the_majority_rule(self, cells, numeric, tmp_path):
+        # "inf" parses but is no number; the marker is not counted
+        path = write_cells(tmp_path / "d.csv", ["x"], [[c] for c in cells])
+        table = assert_reads_like_oracle(path, ("x",))
+        assert table.is_numeric("x") == numeric
+
+    def test_byte_order_mark_and_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeffy,g\n1.5,a\n\n2.5,b\n\n\n3.5,a\n", encoding="utf-8")
+        table = assert_reads_like_oracle(path, ("y", "g"))
+        assert (table.n_rows, table.levels["g"]) == (3, ("a", "b"))
+
+    @pytest.mark.parametrize("text, columns, message", [
+        ("y\n1.0\n", ("y", "nope", "gone"), "referenced column(s) not found: nope, gone"),
+        ("y,x,x\n1,2,3\n", ("y", "x"),
+         "referenced column(s) named more than once in the header: x"),
+        ("y,x\n1,2\n1\n1,2,3\n", ("y",), "row with 1 cells does not match the header"),
+        ("", ("y",), "file is empty"),
+        ("y,g\nNA,a\n2,NA\n", ("y", "g"), "no usable rows after filtering"),
+    ])
+    def test_refusals_keep_their_messages(self, text, columns, message, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        assert assert_reads_like_oracle(path, columns) is None
+        with pytest.raises(SpecificationError) as raised:
+            _read_table(path, columns, {})
+        assert str(raised.value) == f"{path}: {message}"
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.lists(st.sampled_from(CELLS), min_size=3, max_size=3),
+                         max_size=12),
+           kinds=st.lists(st.sampled_from([None, "numeric", "categorical"]),
+                          min_size=2, max_size=2),
+           prefix=st.sampled_from(["", "\ufeff"]))
+    def test_any_table_of_the_cell_vocabulary(self, rows, kinds, prefix, tmp_path):
+        path = write_cells(tmp_path / "h.csv", ["a", "b", "c"], rows, prefix)
+        given_kinds = {c: k for c, k in zip("ab", kinds) if k}
+        assert_reads_like_oracle(path, ("a", "b", "c"), given_kinds)
+        assert_reads_like_oracle(path, ("c", "a"), {})
+
+
 # ---------------------------------------------------------------------------
 # design construction
 # ---------------------------------------------------------------------------
@@ -95,6 +287,18 @@ class TestBuildDesign:
         # 3 levels -> intercept + 2 dummies
         assert spec.mu_design.shape[1] == 3
         assert spec.mu_names == ("(Intercept)", "gb", "gc")
+
+    def test_dummy_columns_match_per_cell_coding(self, tmp_path):
+        # "a\x00" is a level of its own, though a numpy str array drops the NUL
+        levels = ["a", "a\x00", "b", "a,b"]
+        rows = [[f"{i + 1}.0", levels[i % 4]] for i in range(12)]
+        config = ModelConfig(response="y", mu_terms=("g",))
+        table = ingest_csv(write_cells(tmp_path / "d.csv", ["y", "g"], rows), config)
+        assert table.levels["g"] == ("a", "a\x00", "a,b", "b")
+        expected = np.column_stack([np.ones(12)] + [
+            np.array([1.0 if v == level else 0.0 for v in table.categorical["g"]])
+            for level in table.levels["g"][1:]])
+        assert build_design(table, config).mu_design.tobytes() == expected.tobytes()
 
     def test_reference_level_is_lexicographic_first(self, lime_spec):
         # coppice rows code to zero on both dummies

@@ -814,6 +814,14 @@ class TestPilot:
                           np.ones((100, 1)))
         assert np.array_equal(pilot_rows(signed), pilot_rows(zeros))
 
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_pilot_cuts_full_data_iterations_at_1e5(self, seed, monkeypatch):
+        # the README's claim: 3-5 full-data iterations from the pilot (4, 5
+        # and 3 at these seeds), 7 from _initial_theta
+        spec = simulate_regression(100_000, seed)
+        assert fit(spec).iterations <= 5
+        assert fit_without_pilot(spec, monkeypatch).iterations >= 6
+
     def test_full_data_passes(self, pilot_spec, pilot_fit, monkeypatch):
         # From _initial_theta this fit takes 7 iterations and 8 full-data
         # derivative passes; from the pilot, at most 6, and every other pass

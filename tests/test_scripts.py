@@ -26,3 +26,18 @@ def test_lime_case_study_runs_end_to_end(tmp_path, lime_path, capsys):
         "  planted vs coppice: x1.635",
         "  shape parameter   : 0.148",
     ]
+
+
+def test_ingest_timing_runs_on_a_small_file(tmp_path, capsys):
+    script = _load("time_ingest")
+    assert script.main(["--rows", "1000", "--reps", "1",
+                        "--outdir", str(tmp_path)]) == 0
+    lines = (tmp_path / "ingest_1000.csv").read_text().splitlines()
+    assert lines[0] == "y,x1,x2,z,g" and len(lines) == 1001
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {
+        "Coppice", "Natural", "Planted"}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "1000 rows, 1 alternating runs per tree"
+    assert out[2].split()[:2] == ["ingest_csv", "median"]
+    assert out[3].split()[:3] == ["tiltreg", "fit", "median"]
+    assert out[-1] == "model files byte-identical across runs: True"
