@@ -21,6 +21,10 @@ from .regression import FittedModel, ModelSpec, predict
 
 # Keeps Phi^{-1} finite: |residual| tops out near 8.
 _CDF_FLOOR = 1e-15
+# Rows per residual block, as in the fit: a block's float64 temporaries are
+# 64 KB each, below glibc's 128 KB mmap threshold, so they are reused from the
+# heap instead of being mapped and faulted in afresh.
+_BLOCK = 8192
 
 
 def quantile_residuals(fitted: FittedModel, spec: ModelSpec) -> np.ndarray:
@@ -28,58 +32,79 @@ def quantile_residuals(fitted: FittedModel, spec: ModelSpec) -> np.ndarray:
 
     The CDF value is floored into [1e-15, 1 - 1e-15] before applying the
     normal quantile function so saturation cannot produce infinities.  A
-    non-converged fit still yields residuals but attaches a warning.
+    non-converged fit still yields residuals but attaches a warning.  Rows
+    are taken ``_BLOCK`` at a time (``predict``, the CDF, the floor, then
+    Phi^{-1} into the output), so the only n-sized array is the result.
     """
     if not fitted.converged:
         warnings.warn(
             "computing quantile residuals from a non-converged fit",
             RuntimeWarning,
         )
-    mu, sigma = predict(fitted, spec.mu_design, spec.sigma_design)
-    u = median_tilted_cdf(spec.response, mu, sigma)
-    u = np.clip(u, _CDF_FLOOR, 1.0 - _CDF_FLOOR)
-    return ndtri(u)
+    r = np.empty(spec.n_obs)
+    for start in range(0, spec.n_obs, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        mu, sigma = predict(fitted, spec.mu_design[rows], spec.sigma_design[rows])
+        u = median_tilted_cdf(spec.response[rows], mu, sigma)
+        np.clip(u, _CDF_FLOOR, 1.0 - _CDF_FLOOR, out=u)
+        ndtri(u, out=r[rows])
+    return r
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Residuals with their QQ/worm renderings and moment summary.
+    """Residuals with their QQ/worm coordinates and moment summary.
 
     At the i-th of n Blom plotting positions p_i = (i - 3/8) / (n + 1/4),
-    with theoretical normal quantile z_i: ``qq_points`` are (z_i, i-th
-    ordered residual), ``worm_points`` are (z_i, ordered residual - z_i), and
-    ``bands`` are the worm plot's pointwise 95% limits (lower, upper)
-    ``-/+ 1.96 sqrt(p_i (1 - p_i) / n) / phi(z_i)``.
+    the report holds three n-vectors: ``quantiles``, the theoretical normal
+    quantiles z_i; ``ordered``, the residuals sorted ascending; and
+    ``half_width``, the worm plot's pointwise 95% band half-width
+    ``1.96 sqrt(p_i (1 - p_i) / n) / phi(z_i)``.  The (n, 2) views are built
+    on each access: ``qq_points`` are (z_i, i-th ordered residual),
+    ``worm_points`` are (z_i, ordered residual - z_i), and ``bands`` are the
+    band limits (lower, upper) = (-half-width, half-width).
     """
 
     residuals: np.ndarray
-    qq_points: np.ndarray
-    worm_points: np.ndarray
-    bands: np.ndarray
+    quantiles: np.ndarray
+    ordered: np.ndarray
+    half_width: np.ndarray
     summary: dict[str, float]
+
+    @property
+    def qq_points(self) -> np.ndarray:
+        return np.column_stack([self.quantiles, self.ordered])
+
+    @property
+    def worm_points(self) -> np.ndarray:
+        return np.column_stack([self.quantiles, self.ordered - self.quantiles])
+
+    @property
+    def bands(self) -> np.ndarray:
+        return np.column_stack([-self.half_width, self.half_width])
 
 
 def build_report(residuals) -> DiagnosticsReport:
     """Assemble the full report from at least 10 finite residuals that are not
-    all equal (ValueError otherwise)."""
+    all equal (ValueError otherwise).
+
+    Besides the input, the report keeps three n-vectors and holds at most
+    three at a time: the moment summary's deviations come first, then the
+    plotting positions and the band half-width are updated in place, and
+    the sorted copy is made last.
+    """
     r = np.asarray(residuals, dtype=float).ravel()
-    if r.size < 10:
+    n = r.size
+    if n < 10:
         raise ValueError("worm plot needs at least 10 residuals")
     if not np.all(np.isfinite(r)):
         raise ValueError("residuals must be finite")
-    p = (np.arange(1, r.size + 1) - 0.375) / (r.size + 0.25)
-    qq = np.column_stack([ndtri(p), np.sort(r)])
-    theo = qq[:, 0]
-    half = 1.96 * np.sqrt(p * (1.0 - p) / r.size) / (
-        np.exp(-theo**2 / 2.0) / np.sqrt(2 * np.pi))  # 1.96 se / phi(theo)
-    bands = np.column_stack([-half, half])
-    worm = np.column_stack([theo, qq[:, 1] - theo])
     # biased central-moment ratios (Fisher's skewness and excess kurtosis);
     # d2 * d and d2 * d2 are products, where d**3 and d**4 would call pow
     d = r - np.mean(r)
     d2 = d * d
     m2 = np.mean(d2)
-    if qq[0, 1] == qq[-1, 1] or not m2 > 0:
+    if np.min(r) == np.max(r) or not m2 > 0:
         raise ValueError("residuals have zero variance")
     summary = {
         "mean": float(np.mean(r)),
@@ -87,11 +112,30 @@ def build_report(residuals) -> DiagnosticsReport:
         "skewness": float(np.mean(d2 * d) / m2**1.5),
         "excess_kurtosis": float(np.mean(d2 * d2) / m2**2 - 3.0),
     }
+    del d, d2
+    p = np.arange(1.0, n + 1.0)  # i = 1, ..., n, each exact as a double
+    p -= 0.375
+    p /= n + 0.25
+    quantiles = ndtri(p)
+    # 1.96 se / phi(z) with se = sqrt(p (1 - p) / n): the operations of
+    # 1.96 * sqrt(p * (1 - p) / n) / (exp(-z**2 / 2) / sqrt(2 pi)) in order
+    half = 1.0 - p
+    half *= p
+    half /= n
+    np.sqrt(half, out=half)
+    half *= 1.96
+    phi = np.square(quantiles, out=p)
+    np.negative(phi, out=phi)
+    phi /= 2.0
+    np.exp(phi, out=phi)
+    phi /= np.sqrt(2 * np.pi)
+    half /= phi
+    del p, phi
     return DiagnosticsReport(
         residuals=r,
-        qq_points=qq,
-        worm_points=worm,
-        bands=bands,
+        quantiles=quantiles,
+        ordered=np.sort(r),
+        half_width=half,
         summary=summary,
     )
 
@@ -234,36 +278,48 @@ def _pad_limits(*arrays: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _chunk_text(to_pixels, values: np.ndarray):
-    """Yield the pixel texts of ``values``, ``_CHUNK`` at a time."""
-    for start in range(0, len(values), _CHUNK):
-        yield _centi_text(to_pixels(values[start:start + _CHUNK]))
+def _chunk_text(to_pixels, values, chunks):
+    """Yield the pixel texts of ``values(rows)`` for each slice in ``chunks``."""
+    for rows in chunks:
+        yield _centi_text(to_pixels(values(rows)))
 
 
 def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
     """Write the QQ or worm plot of a report to ``path`` as SVG.
 
-    Points are circles, the reference (identity line for QQ, zero line plus
-    dotted 95% bands for worm) is drawn beneath them.  Byte output is a pure
-    function of the report contents.  Every pixel coordinate is printed to
-    0.01 px, the ``.2f`` text gathered from a table by its integer number of
-    centi-pixels (``_centi_text``).  Circles and band vertices are built
-    ``_CHUNK`` points at a time: their texts and the fixed markup fill one
-    record array (``_join``), whose bytes are written at once.  Only the x
-    texts, shared by circles and bands, are held whole (a few bytes per
-    point); the y texts and the document are not.
+    Points are circles in one group that sets their fill and fill-opacity
+    (inherited properties: the group has no ``opacity``, so each circle is
+    still painted on its own at 0.7); the reference (identity line for QQ,
+    zero line plus dotted 95% bands for worm) is drawn beneath them.  Byte
+    output is a pure function of the report contents.  Every pixel
+    coordinate is printed to 0.01 px, the ``.2f`` text gathered from a table
+    by its integer number of centi-pixels (``_centi_text``).  Circles and
+    band vertices are built ``_CHUNK`` points at a time from the report's
+    three vectors: the worm deviations and band limits of a chunk are formed
+    when it is written, its texts and the fixed markup fill one record array
+    (``_join``), and its bytes are written at once.  The worm's y-limits
+    come from per-chunk extremes.  Only the x texts, shared by circles and
+    bands, are held whole (a few bytes per point); no n-sized float array is
+    formed.
     """
     if kind not in ("qq", "worm"):
         raise ValueError("kind must be 'qq' or 'worm'")
+    z, ordered, half = report.quantiles, report.ordered, report.half_width
+    chunks = [slice(start, start + _CHUNK) for start in range(0, z.size, _CHUNK)]
     if kind == "qq":
-        pts, bands = report.qq_points, []
-        ylim = _pad_limits(pts[:, 1], pts[:, 0])
+        point_y, bands = ordered.__getitem__, []
+        ylim = _pad_limits(ordered, z)
         title, ylabel = "Normal QQ plot of quantile residuals", "Ordered residual"
     else:
-        pts, bands = report.worm_points, [report.bands[:, 0], report.bands[:, 1]]
-        ylim = _pad_limits(pts[:, 1], *bands)
+        def point_y(rows):
+            return ordered[rows] - z[rows]
+
+        bands = [lambda rows: -half[rows], half.__getitem__]
+        extremes = [(dev.min(), dev.max()) for dev in map(point_y, chunks)]
+        top = half.max()  # the bands are -half and half, with half > 0
+        ylim = _pad_limits(np.array(extremes), np.array([-top, top]))
         title, ylabel = "Worm plot of quantile residuals", "Deviation"
-    xlim = _pad_limits(pts[:, 0])
+    xlim = _pad_limits(z)
     canvas = _Canvas(xlim, ylim)
     ref_y = xlim if kind == "qq" else (0, 0)
     elements = _frame(canvas, title, "Theoretical quantile", ylabel)
@@ -277,19 +333,19 @@ def render_svg(report: DiagnosticsReport, kind: str, path) -> None:
         f'viewBox="0 0 {_W} {_H}">\n<rect width="{_W}" height="{_H}" '
         f'fill="white"/>\n'
     )
-    x_text = list(_chunk_text(canvas.x, pts[:, 0]))
+    x_text = list(_chunk_text(canvas.x, z.__getitem__, chunks))
     with open(path, "wb") as fh:
         fh.write("".join([head, *(f"{element}\n" for element in elements)])
                  .encode("utf-8"))
         for band in bands:
             fh.write(b'<polyline points="')
             skip = 1  # vertices are space-separated: none before the first
-            for tx, ty in zip(x_text, _chunk_text(canvas.y, band)):
+            for tx, ty in zip(x_text, _chunk_text(canvas.y, band, chunks)):
                 fh.write(memoryview(_join(b" ", tx, b",", ty))[skip:])
                 skip = 0
             fh.write(b'" fill="none" stroke="gray" '
                      b'stroke-width="1" stroke-dasharray="3,3"/>\n')
-        for tx, ty in zip(x_text, _chunk_text(canvas.y, pts[:, 1])):
-            fh.write(_join(b'<circle cx="', tx, b'" cy="', ty,
-                           b'" r="2.5" fill="steelblue" fill-opacity="0.7"/>\n'))
-        fh.write(b"</svg>\n")
+        fh.write(b'<g fill="steelblue" fill-opacity="0.7">\n')
+        for tx, ty in zip(x_text, _chunk_text(canvas.y, point_y, chunks)):
+            fh.write(_join(b'<circle cx="', tx, b'" cy="', ty, b'" r="2.5"/>\n'))
+        fh.write(b"</g>\n</svg>\n")

@@ -398,8 +398,8 @@ class TestFitCommand:
         digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
                    for kind, path in files.items()}
         assert digests == {
-            "qq": "ffb34dbbcf1ab75870c1d6a09c3c429520617f09921cd52e07b3bae2e7e724ee",
-            "worm": "ef91bcd8c447b221f77e9c54ab8abb29cf78f9a5455e5887486716410470a257",
+            "qq": "77123c78accf2a5d2924cbf08d87b5c32217726a8441236060e876572f5e3ee9",
+            "worm": "3bfe580745afb1eee51649e4fce591c6cd004443c341d9523c1b3404db7915db",
             "model": "e00ef85e5dd495b942a37001e174dc9e5c9539cbfd6000a52bf4bf77921c9024",
         }
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import kurtosis, norm, skew
 
 from tiltreg import (
@@ -20,9 +21,13 @@ from tiltreg import (
     quantile_residuals,
     render_svg,
 )
-from tiltreg import regression
-from tiltreg.diagnostics import _CHUNK, _Canvas, _centi_text, _join, _pad_limits
+from tiltreg import predict, regression
+from tiltreg.diagnostics import (
+    _BLOCK, _CHUNK, _Canvas, _centi_text, _join, _pad_limits,
+)
+from tiltreg.exponential import median_tilted_cdf
 from tests.conftest import simulate_intercept_only
+from tests.test_regression import simulate_regression
 
 
 def blom_positions(n):
@@ -30,19 +35,23 @@ def blom_positions(n):
     return (i - 0.375) / (n + 0.25)
 
 
+def plot_canvas(report, kind):
+    """The plot's canvas, its limits taken from the whole (n, 2) arrays."""
+    qq, worm, bands = report.qq_points, report.worm_points, report.bands
+    if kind == "qq":
+        return _Canvas(_pad_limits(qq[:, 0]),
+                       _pad_limits(np.concatenate([qq[:, 1], qq[:, 0]])))
+    return _Canvas(_pad_limits(worm[:, 0]),
+                   _pad_limits(np.concatenate([worm[:, 1], bands[:, 0],
+                                               bands[:, 1]])))
+
+
 def assert_coordinates_match_per_point_map(report, tmp_path):
     """Every circle and band vertex prints the ``.2f`` of its own pixel."""
     qq, worm, bands = report.qq_points, report.worm_points, report.bands
     n = qq.shape[0]
-    limits = {
-        "qq": (_pad_limits(qq[:, 0]),
-               _pad_limits(np.concatenate([qq[:, 1], qq[:, 0]]))),
-        "worm": (_pad_limits(worm[:, 0]),
-                 _pad_limits(np.concatenate([worm[:, 1], bands[:, 0],
-                                             bands[:, 1]]))),
-    }
     for kind, pts in (("qq", qq), ("worm", worm)):
-        canvas = _Canvas(*limits[kind])
+        canvas = plot_canvas(report, kind)
         path = tmp_path / f"{kind}.svg"
         render_svg(report, kind, path)
         text = path.read_text(encoding="utf-8")
@@ -131,6 +140,39 @@ class TestQuantileResiduals:
 
         assert abs(skew(r)) < 0.1
         assert abs(kurtosis(r)) < 0.2
+
+    def test_blocks_match_the_unblocked_formula(self):
+        # three full blocks and a partial one, with rows at both CDF floors
+        n = 3 * _BLOCK + 17
+        spec = simulate_regression(n, seed=19)
+        model = fit(spec)
+        y = spec.response.copy()
+        low, high = [5, _BLOCK, 2 * _BLOCK + 3], [_BLOCK - 1, 3 * _BLOCK + 2, n - 1]
+        y[low], y[high] = 1e-300, 1e300
+        extreme = ModelSpec(response=y, mu_design=spec.mu_design,
+                            sigma_design=spec.sigma_design)
+        u = median_tilted_cdf(y, *predict(model, spec.mu_design,
+                                          spec.sigma_design))
+        expected = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+        r = quantile_residuals(model, extreme)
+        assert r.tobytes() == expected.tobytes()
+        assert np.all(r[low] == ndtri(1e-15))
+        assert np.all(r[high] == ndtri(1.0 - 1e-15))
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # net of the 8 n bytes of the result, only one block's temporaries
+        model = fit(simulate_regression(2000, seed=20))
+        peaks = []
+        for n in (2 * _BLOCK, 12 * _BLOCK):
+            spec = simulate_regression(n, seed=21)
+            quantile_residuals(model, spec)
+            tracemalloc.start()
+            try:
+                quantile_residuals(model, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1] - 8 * n)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_lime_residuals_are_unchanged(self, lime_spec, lime_fit):
         # the lime residuals, pinned to the last bit by a digest of their bytes
@@ -317,6 +359,21 @@ class TestReportAndRendering:
         assert worm[:, 1].tobytes() == (qq[:, 1] - qq[:, 0]).tobytes()
         assert report.bands[:, 0].tobytes() == (-report.bands[:, 1]).tobytes()
 
+    def test_report_keeps_three_vectors_and_peaks_at_three(self):
+        # the quantiles, the ordered residuals and the band half-width
+        n = 12 * _BLOCK
+        r = np.random.default_rng(18).normal(size=n)
+        build_report(r)
+        tracemalloc.start()
+        try:
+            report = build_report(r)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(report.residuals, r)
+        assert kept // (8 * n) == 3
+        assert peak < 4 * 8 * n
+
     def test_cli_import_leaves_scipy_stats_out(self):
         # a fresh interpreter importing the same package as this test run
         import tiltreg
@@ -371,8 +428,8 @@ class TestReportAndRendering:
         r[::3] = np.round(r[::3], 1)
         report = build_report(r)
         digests = {
-            "qq": "3fc2f09dfe38f92681b60f0d32bd6c93dce3a922b2abacb92a43afa444d9f293",
-            "worm": "38b579cf62ef4fe7f0cdc4fb8cb2133682947243f6d56b24d509c419fe60d495",
+            "qq": "8bf75f8a6d00bafb96490d7a7e92bc3cecde228c911fd0fe465300ab3fc3dfee",
+            "worm": "459f90b693c1562a79f36198a2cc33f012ec0f4c562a91f09e0e4affcc051d9b",
         }
         for kind, digest in digests.items():
             path = tmp_path / f"{kind}.svg"
@@ -380,19 +437,21 @@ class TestReportAndRendering:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_render_peak_memory_does_not_grow_with_n(self, tmp_path):
-        # the worm plot streams both the band vertices and the circles
-        path = tmp_path / "worm.svg"
-        peaks = []
-        for n in (2 * _CHUNK, 12 * _CHUNK):
-            report = build_report(np.random.default_rng(15).normal(size=n))
-            render_svg(report, "worm", path)
-            tracemalloc.start()
-            try:
-                render_svg(report, "worm", path)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0]
+        # circles, worm deviations and band vertices are formed per chunk
+        reports = [build_report(np.random.default_rng(15).normal(size=n))
+                   for n in (2 * _CHUNK, 12 * _CHUNK)]
+        for kind in ("qq", "worm"):
+            path = tmp_path / f"{kind}.svg"
+            peaks = []
+            for report in reports:
+                render_svg(report, kind, path)
+                tracemalloc.start()
+                try:
+                    render_svg(report, kind, path)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.5 * peaks[0], kind
 
     def test_invalid_kind(self, report, tmp_path):
         with pytest.raises(ValueError):
@@ -401,6 +460,33 @@ class TestReportAndRendering:
     def test_unwritable_path(self, report, tmp_path):
         with pytest.raises(OSError):
             render_svg(report, "qq", tmp_path / "missing_dir" / "x.svg")
+
+    def test_lime_circles_resolve_to_one_style(self, lime_spec, lime_fit,
+                                               tmp_path):
+        # fill and fill-opacity are inherited; an ancestor with opacity would
+        # composite the circles as one group, so none may carry it
+        report = build_report(quantile_residuals(lime_fit, lime_spec))
+        for kind, pts in (("qq", report.qq_points),
+                          ("worm", report.worm_points)):
+            path = tmp_path / f"{kind}.svg"
+            render_svg(report, kind, path)
+            root = ET.parse(path).getroot()
+            parent = {child: node for node in root.iter() for child in node}
+            canvas = plot_canvas(report, kind)
+            circles = [e for e in root.iter() if e.tag.endswith("circle")]
+            assert len(circles) == len(pts)
+            for e, (x, y) in zip(circles, pts.tolist()):
+                line = [e]
+                while line[-1] in parent:
+                    line.append(parent[line[-1]])
+                style = {name: next(node.get(name) for node in line
+                                    if node.get(name) is not None)
+                         for name in ("fill", "fill-opacity")}
+                assert style == {"fill": "steelblue", "fill-opacity": "0.7"}
+                assert e.get("r") == "2.5"
+                assert all(node.get("opacity") is None for node in line)
+                assert (e.get("cx"), e.get("cy")) == (
+                    f"{canvas.x(x):.2f}", f"{canvas.y(y):.2f}")
 
     def test_lime_residuals_track_normal_line(self, lime_spec, lime_fit):
         r = quantile_residuals(lime_fit, lime_spec)

@@ -1,6 +1,8 @@
 import importlib.util
 import pathlib
 
+import numpy as np
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -41,3 +43,22 @@ def test_ingest_timing_runs_on_a_small_file(tmp_path, capsys):
     assert out[2].split()[:2] == ["ingest_csv", "median"]
     assert out[3].split()[:3] == ["tiltreg", "fit", "median"]
     assert out[-1] == "model files byte-identical across runs: True"
+
+
+def test_diagnostics_timing_runs_on_a_small_sample(tmp_path, capsys):
+    script = _load("time_diagnostics")
+    assert script.main(["--rows", "1000", "--reps", "1",
+                        "--outdir", str(tmp_path)]) == 0
+    data = np.load(tmp_path / "diagnostics_1000.npz")
+    assert data["y"].shape == (1000,)
+    assert data["W"].shape == (1000, 3) and data["Z"].shape == (1000, 2)
+    for kind in ("qq", "worm"):
+        assert (tmp_path / f"{kind}.svg").read_bytes().endswith(b"</svg>\n")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "1000 rows, 1 alternating runs per tree"
+    phases = [line.split() for line in out[2:7]]
+    assert [words[0] for words in phases] == [
+        "fit", "residuals", "report", "qq", "worm"]
+    for words in phases:
+        assert words[1] == "median" and words[-3] == "maxrss"
+    assert out[7].split()[:3] == ["svg", "bytes", "qq"]
